@@ -111,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the result (or a structured error "
                               "object) as JSON")
     perf_p = sub.add_parser(
-        "perf", help="measure simulator wall-clock performance (events/sec) "
-                     "on fixed workloads and write BENCH_perf.json")
+        "perf", help="measure simulator wall-clock performance on fixed "
+                     "workloads and write BENCH_perf.json")
     perf_p.add_argument("--quick", action="store_true",
                         help="smaller workloads (CI smoke)")
     perf_p.add_argument("--out", default="BENCH_perf.json",
@@ -123,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     perf_p.add_argument("--no-baseline", action="store_true",
                         help="skip the baseline comparison")
     perf_p.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed events/sec drop vs baseline (0.30 = 30%%)")
+                        help="allowed rise of a workload's wall time, in units "
+                             "of the same run's naive ttcp_bulk wall, over "
+                             "the baseline's (0.30 = 30%%)")
     perf_p.add_argument("--write-baseline", action="store_true",
                         help="also overwrite the committed baseline")
     perf_p.add_argument("--no-profile", action="store_true",
@@ -383,7 +385,7 @@ def run_perf_cmd(args) -> int:
     for line in messages:
         print("  " + line)
     if not ok:
-        print(f"perf: events/sec regressed more than "
+        print(f"perf: normalised wall time regressed more than "
               f"{args.max_regression:.0%} vs baseline", file=sys.stderr)
         return 1
     return 0

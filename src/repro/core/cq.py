@@ -38,6 +38,14 @@ class CompletionQueue:
         self.capacity = capacity
         self._ring: Deque[Completion] = deque()
         self._waiters: Deque[Event] = deque()
+        # Parked busy-pollers (QpipInterface.spin): settled on the next
+        # push.  Unlike ``_waiters`` they burn host CPU instead of
+        # taking an interrupt, so waking them costs nothing extra.
+        self.spinners: List = []
+        # Host polls of this ring, and how many found it empty; elided
+        # spin polls are counted here when they are settled.
+        self.polls = 0
+        self.empty_polls = 0
         self.overruns = 0
         self.total_completions = 0
         self.error_completions = 0
@@ -90,6 +98,8 @@ class CompletionQueue:
                 else:
                     waiter.succeed()
                 break
+        while self.spinners:
+            self.spinners[0].settle()
 
     def push_many(self, cqes: List[Completion]) -> None:
         """Post a burst of completions arriving at the same instant.
@@ -103,12 +113,19 @@ class CompletionQueue:
     # -- host side -----------------------------------------------------------
 
     def pop(self) -> Optional[Completion]:
-        return self._ring.popleft() if self._ring else None
+        self.polls += 1
+        if self._ring:
+            return self._ring.popleft()
+        self.empty_polls += 1
+        return None
 
     def pop_many(self, limit: int) -> List[Completion]:
+        self.polls += 1
         out = []
         while self._ring and len(out) < limit:
             out.append(self._ring.popleft())
+        if not out:
+            self.empty_polls += 1
         return out
 
     def wait_event(self) -> Event:

@@ -19,7 +19,7 @@ from ..hw.host import Host
 from ..hw.timing import QpipHostTiming
 from ..mem import Access, AddressSpace, MemoryRegion, SGE
 from ..net.addresses import Endpoint
-from ..sim import Event
+from ..sim import Event, Interrupt
 from .cq import CompletionQueue
 from .firmware import MgmtCommand, QpipFirmware
 from .qp import QPState, QPTransport, QueuePair
@@ -323,9 +323,88 @@ class QpipInterface:
         return cqes
 
     def spin(self, cq: CompletionQueue, poll_interval: float = 0.5) -> Generator:
-        """Busy-poll (processor-cache spin, §5.1) until completions arrive."""
+        """Busy-poll (processor-cache spin, §5.1) until completions arrive.
+
+        Behaves as ``poll``, sleep ``poll_interval``, repeat — every
+        poll charged to the host CPU at the instant that loop would
+        charge it — but an empty poll parks the process instead of
+        stepping through the idle gap: the polls in between are
+        accounted in one go when a CQE arrives or someone else needs the
+        CPU (:class:`_ParkedSpin`), so a wait costs O(1) kernel events
+        however long it lasts.
+        """
+        cpu = self.host.cpu
+        poll_cost = self.timing.poll_cq
         while True:
-            cqes = yield from self.poll(cq)
-            if cqes:
-                return cqes
-            yield self.sim.timeout(poll_interval)
+            yield cpu.submit_wait(poll_cost, category="qpip-poll")
+            at_pop = True           # a poll, real or replayed, just ended
+            while at_pop:
+                cqes = cq.pop_many(16)
+                if cqes:
+                    yield cpu.submit_wait(
+                        self.timing.completion_check * len(cqes),
+                        category="qpip-poll")
+                    return cqes
+                parked = _ParkedSpin(cq, cpu, poll_interval, poll_cost)
+                try:
+                    step, at_pop = yield parked.wake
+                except Interrupt:
+                    parked.settle()     # the polls up to now did happen
+                    raise
+                yield step
+
+
+class _ParkedSpin:
+    """A spinning process between an empty poll and its next real step.
+
+    The process sleeps on ``wake`` and owns no heap entry.  ``settle``
+    — called by the CQ on a push, by the CPU before anyone else uses it
+    or reads its accounting, and by ``Simulator.run`` before it stops at
+    ``until`` — replays the poll grid up to now with the stepwise loop's
+    own arithmetic (:meth:`WorkQueue.replay_periodic`), then takes that
+    loop's next scheduling step *as of the instant the loop would have
+    taken it*: the sleep before the next poll, or the submit of the poll
+    in flight.  ``wake`` fires with ``(step, at_pop)``; the process
+    waits on ``step`` and is then exactly where the loop would be — at
+    the start of a poll, or (``at_pop``) at the ring pop ending one.
+
+    Only a CPU with no dispatch chain running can be fast-forwarded;
+    otherwise the spinner settles at once, which is one ordinary sleep.
+    """
+
+    __slots__ = ("cq", "cpu", "interval", "poll_cost", "anchor", "wake")
+
+    def __init__(self, cq: CompletionQueue, cpu, interval: float,
+                 poll_cost: float):
+        self.cq = cq
+        self.cpu = cpu
+        self.interval = interval
+        self.poll_cost = poll_cost
+        sim = cq.sim
+        self.anchor = sim.now       # pop instant of the last empty poll
+        self.wake = Event(sim)
+        if cpu.parked is not None:
+            cpu.parked.settle()     # two spinners share this CPU
+        cq.spinners.append(self)
+        cpu.parked = self
+        sim.parked[self] = None
+        if cpu.dispatching:
+            self.settle()
+
+    def settle(self) -> None:
+        cq, cpu, sim = self.cq, self.cpu, self.cq.sim
+        if cpu.parked is not self:
+            return                  # already settled
+        cq.spinners.remove(self)
+        cpu.parked = None
+        del sim.parked[self]
+        polls, last_pop, started = cpu.replay_periodic(
+            self.anchor, self.interval, self.poll_cost, "qpip-poll")
+        cq.polls += polls
+        cq.empty_polls += polls
+        if started is None:
+            step = sim.call_as_of(last_pop, sim.timeout, self.interval)
+        else:
+            step = sim.call_as_of(started, cpu.submit, self.poll_cost,
+                                  "qpip-poll")
+        self.wake.succeed((step, started is not None))

@@ -414,6 +414,12 @@ class Simulator:
         self._log_times: list = []
         self._log_seqs: list = []
         self._injected: int = 0
+        # Parked waiters (see :meth:`call_as_of`): objects with a
+        # ``settle()`` method, each standing for a process whose periodic
+        # wake-ups are being elided and that therefore owns no heap
+        # entry.  ``run(until=...)`` settles them before it stops, so the
+        # state at ``until`` is what the stepwise process would have left.
+        self.parked: dict = {}
 
     # -- scheduling primitives ------------------------------------------
 
@@ -515,6 +521,36 @@ class Simulator:
         heapq.heappush(self._heap, (times[0], self._seq, walk))
         return walk
 
+    def call_as_of(self, when: float, fn: Callable, *args) -> Any:
+        """Run ``fn(*args)`` with the clock set back to ``when``.
+
+        For replaying the one scheduling decision an elided process
+        would have taken at ``when``: ``now + (when - now)`` is not
+        ``when`` in floating point, so the only way to land ``fn``'s
+        ``call_later`` / ``timeout`` on the exact instant the stepwise
+        process would have produced is to let it compute ``when +
+        delay`` itself.  Everything ``fn`` schedules must fall at or
+        after the real ``now``.
+        """
+        now = self.now
+        if when > now:
+            raise SimulationError(f"call_as_of {when} is in the future (now={now})")
+        self.now = when
+        try:
+            return fn(*args)
+        finally:
+            self.now = now
+
+    def _settle_parked(self, until: float) -> bool:
+        """Make every parked waiter concrete as of ``until`` (the run is
+        about to stop there); true if the heap has entries afterwards."""
+        if not self.parked:
+            return False
+        self.now = until
+        for waiter in list(self.parked):
+            waiter.settle()
+        return bool(self._heap)
+
     # -- execution -------------------------------------------------------
 
     def _step(self) -> None:
@@ -584,8 +620,12 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         push = heapq.heappush
-        while heap:
+        while heap or (until is not None and self._settle_parked(until)):
             if until is not None and heap[0][0] > until:
+                # Parked waiters own no heap entry: settling them may
+                # put steps at or before ``until``, so look again.
+                if self._settle_parked(until):
+                    continue
                 self.now = until
                 return
             if budget is not None:
@@ -664,7 +704,10 @@ class Simulator:
         return proc._value
 
     def peek(self) -> float:
-        """Time of the next scheduled item, or ``inf`` when idle."""
+        """Time of the next scheduled item, or ``inf`` when idle.
+
+        Parked waiters (``self.parked``) are not scheduled items: they
+        act only when something else settles them."""
         return self._heap[0][0] if self._heap else float("inf")
 
     # -- cross-simulator injection (repro.cluster) -----------------------

@@ -164,6 +164,10 @@ class WorkQueue:
         self.busy_by_category: dict = {}
         self._stats_epoch = 0.0
         self.items_completed = 0
+        # A sole user whose periodic work is being elided (see
+        # :meth:`replay_periodic`): an object with ``settle()``, called
+        # before anyone else submits work or reads the accounting.
+        self.parked = None
 
     @property
     def queue_depth(self) -> int:
@@ -171,7 +175,64 @@ class WorkQueue:
 
     @property
     def busy(self) -> bool:
+        if self.parked is not None:
+            self.parked.settle()
         return self._busy or self.sim.now < self._busy_until
+
+    @property
+    def dispatching(self) -> bool:
+        """True while general-path work is in flight or queued — work
+        that will move the queue on later without another submit."""
+        return self._busy or bool(self._heap)
+
+    def replay_periodic(self, t: float, gap: float, duration: float,
+                        category: str):
+        """Account, in one call, for a sole user that from time ``t``
+        repeated "idle ``gap``, then submit ``duration`` and wait for
+        it" up to ``sim.now`` while nobody else touched the queue.
+
+        Charges every repetition that has finished strictly before now
+        — the same additions, in the same order, as that many
+        :meth:`submit_wait` calls — and advances the busy horizon with
+        the arithmetic ``submit`` uses (``finish = start + duration``
+        from ``start = max(horizon, now)``, completion seen at ``now +
+        (finish - now)``), so every instant is the float the stepwise
+        caller would have computed.  Returns ``(count, t, start)``:
+        ``count`` repetitions were charged, the last finished at ``t``
+        (unchanged if none), and ``start`` is the submit instant of a
+        repetition still in flight now (``None`` in the idle gap).  A
+        repetition finishing at exactly ``now`` counts as in flight: its
+        caller runs after everything already queued for this instant.
+        The in-flight one is *not* charged; replay its submit with
+        ``sim.call_as_of(start, self.submit, duration, category)``.
+        """
+        now = self.sim.now
+        horizon = self._busy_until
+        busy_time = self.busy_time
+        by_cat = self.busy_by_category if self.detailed else None
+        cat_time = by_cat.get(category, 0.0) if by_cat is not None else 0.0
+        count = 0
+        while True:
+            start = t + gap
+            if start > now:
+                start = None
+                break
+            finish = (start if start >= horizon else horizon) + duration
+            done_at = start + (finish - start)
+            if done_at >= now:
+                break
+            horizon = finish
+            t = done_at
+            busy_time += duration
+            cat_time += duration
+            count += 1
+        if count:
+            self._busy_until = horizon
+            self.busy_time = busy_time
+            if by_cat is not None:
+                by_cat[category] = cat_time
+            self.items_completed += count
+        return count, t, start
 
     def submit(self, duration: float, category: str = "work", priority: int = 0,
                fn: Optional[Callable] = None) -> Event:
@@ -179,6 +240,8 @@ class WorkQueue:
 
         ``fn`` (if given) runs at completion time, before the event fires.
         """
+        if self.parked is not None:
+            self.parked.settle()
         if duration < 0:
             raise SimulationError(f"negative work duration: {duration}")
         sim = self.sim
@@ -228,6 +291,8 @@ class WorkQueue:
         this when the result is stored and yielded later: a plain delay
         starts counting when yielded, not when submitted.
         """
+        if self.parked is not None:
+            self.parked.settle()
         if duration < 0:
             raise SimulationError(f"negative work duration: {duration}")
         if not self._busy and _fastpath.ENABLED:
@@ -253,6 +318,8 @@ class WorkQueue:
         not apply (the caller must fall back to :meth:`submit`).  No
         state changes on a ``None`` return.
         """
+        if self.parked is not None:
+            self.parked.settle()
         if duration < 0:
             raise SimulationError(f"negative work duration: {duration}")
         if not self._busy and _fastpath.ENABLED:
@@ -316,6 +383,8 @@ class WorkQueue:
     # -- accounting -------------------------------------------------------
 
     def reset_stats(self) -> None:
+        if self.parked is not None:
+            self.parked.settle()
         self.busy_time = 0.0
         self.busy_by_category = {}
         self.items_completed = 0
@@ -323,12 +392,16 @@ class WorkQueue:
 
     def utilization(self) -> float:
         """Fraction of time busy since the last ``reset_stats``."""
+        if self.parked is not None:
+            self.parked.settle()
         elapsed = self.sim.now - self._stats_epoch
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_time / elapsed)
 
     def utilization_of(self, category: str) -> float:
+        if self.parked is not None:
+            self.parked.settle()
         elapsed = self.sim.now - self._stats_epoch
         if elapsed <= 0:
             return 0.0

@@ -209,6 +209,18 @@ def nic_report(nic) -> str:
     return "\n".join(lines)
 
 
+def cq_report(cq) -> str:
+    """Counters of one completion queue, host polling included.
+
+    ``polls`` counts every host look at the ring — the polls a parked
+    ``spin`` settled in closed form exactly like the ones it stepped
+    through — so a spinning consumer shows up here even though it costs
+    the event kernel nothing while it waits."""
+    return (f"cq {cq.cq_num}: completions {cq.total_completions} "
+            f"(errors {cq.error_completions}), overruns {cq.overruns}, "
+            f"depth {len(cq)}; polls {cq.polls} (empty {cq.empty_polls})")
+
+
 def fabric_report(fabric) -> str:
     """Per-link utilization and switch counters for a fabric."""
     lines: List[str] = []

@@ -81,7 +81,7 @@ class TestPerfCommand:
     def stub_perf(self, monkeypatch, tmp_path):
         """Replace the benchmark internals with instant stubs."""
         import repro.bench.perf as perf
-        report = {"workloads": {"w": {"events_per_sec": 100.0}}}
+        report = {"workloads": {"w": {"wall_s": 1.0}}}
         calls = {}
 
         monkeypatch.setattr(perf, "run_perf",

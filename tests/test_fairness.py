@@ -1,6 +1,9 @@
 """Multi-flow behaviour: two QPIP streams share the interface and the
 wire fairly; Reno flows converge under a shared bottleneck."""
 
+import hashlib
+import struct
+
 import pytest
 
 from repro.bench.configs import build_qpip_cluster
@@ -161,6 +164,11 @@ class TestSharedReceiverFairness:
             sim.process(pong_server()), sim.process(pong_client())]
         sim.run(until=sim.now + 300_000_000)
         assert all(p.triggered and p.ok for p in procs)
+        # The exact RTT list the event-per-poll spin loop produced here,
+        # recorded before QpipInterface.spin learned to elide empty polls
+        # (both spinners share their host CPUs with the bulk stream).
+        assert hashlib.sha256(struct.pack(f"<{len(rtts)}d", *rtts)).hexdigest() \
+            == "3bacbcab18d48a062b81b05b0ae0e747d3ac81287421dbea584840415771a1c1"
         mean_rtt = sum(rtts) / len(rtts)
         # Degraded vs the ~114 µs idle RTT, but bounded: the bulk flow's
         # 16 KB messages hold the NIC for ~150 µs each at most a few

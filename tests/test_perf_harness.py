@@ -3,7 +3,7 @@
 The harness itself must never affect simulated results — it only runs
 existing workloads — so these tests check the *measurement plumbing*:
 the ``BENCH_perf.json`` schema, the baseline round-trip, and the
-events/sec regression arithmetic CI relies on.
+normalised-wall regression arithmetic CI relies on.
 """
 
 import json
@@ -61,39 +61,84 @@ class TestReportStructure:
         assert load_baseline(str(tmp_path / "nope.json")) is None
 
 
-def _report_with(eps):
-    return {"workloads": {"ttcp_bulk": {"events_per_sec": eps}}}
+def _report_with(wall, naive=1.0, quick=True, name="pingpong"):
+    """A synthetic report: ``name`` took ``wall`` s on a host whose naive
+    ttcp_bulk calibration run took ``naive`` s."""
+    report = {"quick": quick, "workloads": {name: {"wall_s": wall}}}
+    if naive is not None:
+        report["naive_ttcp_bulk"] = {"wall_s": naive}
+    return report
 
 
 class TestRegressionGate:
     def test_within_tolerance_passes(self):
-        ok, messages = compare_to_baseline(_report_with(80_000),
-                                           _report_with(100_000),
+        ok, messages = compare_to_baseline(_report_with(1.25),
+                                           _report_with(1.00),
                                            max_regression=0.30)
         assert ok
-        assert any("ttcp_bulk" in m for m in messages)
+        assert any("pingpong" in m for m in messages)
 
     def test_beyond_tolerance_fails(self):
-        ok, messages = compare_to_baseline(_report_with(69_000),
-                                           _report_with(100_000),
+        ok, messages = compare_to_baseline(_report_with(1.35),
+                                           _report_with(1.00),
                                            max_regression=0.30)
         assert not ok
         assert any("REGRESSION" in m for m in messages)
 
     def test_improvement_passes(self):
-        ok, _ = compare_to_baseline(_report_with(250_000),
-                                    _report_with(100_000))
+        ok, _ = compare_to_baseline(_report_with(0.40), _report_with(1.00))
         assert ok
 
+    def test_a_slower_machine_is_not_a_regression(self):
+        # Twice the wall on a host whose calibration run also doubled.
+        ok, _ = compare_to_baseline(_report_with(2.0, naive=2.0),
+                                    _report_with(1.0, naive=1.0))
+        assert ok
+        # ... and the same wall on a host that got faster is one.
+        ok, _ = compare_to_baseline(_report_with(1.0, naive=0.5),
+                                    _report_with(1.0, naive=1.0))
+        assert not ok
+
+    def test_fewer_cheaper_events_is_not_a_regression(self):
+        # Poll-loop elision: 85% of the events gone, wall halved.  The
+        # retired events/sec gate failed this; fixed-work wall passes it.
+        current = _report_with(0.5)
+        current["workloads"]["pingpong"]["events_per_sec"] = 110_000
+        base = _report_with(1.0)
+        base["workloads"]["pingpong"]["events_per_sec"] = 365_000
+        ok, _ = compare_to_baseline(current, base)
+        assert ok
+
+    def test_ttcp_speedup_loss_fails_through_its_normalised_wall(self):
+        # speedup_vs_naive 1.25x -> 0.91x is ttcp_bulk 0.8 -> 1.1.
+        ok, messages = compare_to_baseline(
+            _report_with(1.1, name="ttcp_bulk"),
+            _report_with(0.8, name="ttcp_bulk"))
+        assert not ok
+        assert any("ttcp_bulk" in m and "REGRESSION" in m for m in messages)
+
+    def test_no_calibration_run_compares_nothing(self):
+        for current, base in ((_report_with(9.0, naive=None), _report_with(1.0)),
+                              (_report_with(9.0), _report_with(1.0, naive=None))):
+            ok, messages = compare_to_baseline(current, base)
+            assert ok
+            assert any("nothing compared" in m for m in messages)
+
+    def test_different_sizes_compare_nothing(self):
+        ok, messages = compare_to_baseline(_report_with(9.0, quick=False),
+                                           _report_with(1.0, quick=True))
+        assert ok
+        assert any("different size" in m for m in messages)
+
     def test_unmeasurable_workload_skipped(self):
-        # chaos_recover has no event counter: present in both, None eps.
+        # A workload that recorded no wall on one side is reported, not gated.
         ok, messages = compare_to_baseline(_report_with(None),
-                                           _report_with(None))
+                                           _report_with(1.0))
         assert ok
         assert any("skipped" in m for m in messages)
 
     def test_workload_missing_from_baseline_skipped(self):
-        ok, messages = compare_to_baseline(_report_with(100_000),
-                                           {"workloads": {}})
+        ok, messages = compare_to_baseline(_report_with(9.0, name="new"),
+                                           _report_with(1.0))
         assert ok
         assert any("skipped" in m for m in messages)

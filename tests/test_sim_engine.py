@@ -436,3 +436,45 @@ class TestRunProcessEdges:
 
         # sum of (2i + 1) for i in 0..4 = 25
         assert sim.run_process(top()) == 25
+
+
+class TestCallAsOf:
+    def test_schedules_from_the_past_instant_exactly(self, sim):
+        # 0.1 + 0.7 is not (0.1 + 0.2) + 0.5 in floating point: replaying
+        # the timeout as of 0.3 lands on the float the original would have.
+        fired = []
+        sim.run(until=0.1 + 0.2 + 0.4)
+        ev = sim.call_as_of(0.1 + 0.2, sim.timeout, 0.5)
+        ev.callbacks.append(lambda _ev: fired.append(sim.now))
+        assert sim.now == 0.1 + 0.2 + 0.4        # clock restored
+        sim.run()
+        assert fired == [(0.1 + 0.2) + 0.5]
+
+    def test_future_instant_is_refused_and_errors_restore_the_clock(self, sim):
+        sim.run(until=5.0)
+        with pytest.raises(SimulationError):
+            sim.call_as_of(6.0, sim.timeout, 1.0)
+
+        def boom():
+            raise ValueError("x")
+
+        with pytest.raises(ValueError):
+            sim.call_as_of(2.0, boom)
+        assert sim.now == 5.0
+
+    def test_run_until_settles_parked_waiters(self, sim):
+        class Waiter:
+            settled_at = None
+
+            def settle(self):
+                del sim.parked[self]
+                self.settled_at = sim.now
+                sim.call_later(0.0, fired.append, sim.now)
+
+        fired = []
+        waiter = Waiter()
+        sim.parked[waiter] = None
+        sim.run()                       # no horizon: nothing to settle for
+        assert waiter.settled_at is None
+        sim.run(until=7.0)
+        assert waiter.settled_at == 7.0 and fired == [7.0] and not sim.parked

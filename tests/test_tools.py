@@ -177,6 +177,21 @@ class TestInspectors:
         assert "occupancy" in report
         assert "build_tcp_hdr" in report
 
+    def test_cq_report_counts_elided_polls(self, sim):
+        from repro.core import CompletionQueue
+        from repro.core.wr import Completion, WROpcode
+        from repro.tools import cq_report
+        a, _b, _f = build_qpip_pair(sim)
+        cq = CompletionQueue(sim, 7)
+        sim.process(a.iface.spin(cq))
+        sim.call_later(110.3, cq.push, Completion(1, 1, WROpcode.RECV))
+        sim.run(until=60.3)                  # parked, nothing pushed yet
+        assert "polls 55 (empty 55)" in cq_report(cq)
+        sim.run(until=200.0)
+        report = cq_report(cq)
+        assert report.startswith("cq 7: completions 1 (errors 0), overruns 0")
+        assert "polls 101 (empty 100)" in report
+
     def test_fabric_reports(self, sim):
         a, b, fabric = build_qpip_pair(sim)
         from repro.apps.pingpong import qpip_tcp_rtt

@@ -12,12 +12,11 @@ Usage::
     python -m repro ablation
     python -m repro all [--mb 409]
     python -m repro chaos --seed 1 [--drop 0.02 --corrupt 0.01 ...]
-    python -m repro perf [--quick]
     python -m repro trace ttcp [--out-dir traces/]
     python -m repro metrics pingpong [--json]
     python -m repro cluster --hosts 16 --workers 2 [--check-determinism]
     python -m repro collective --engine nic --algo allreduce --hosts 64
-    python -m repro collective --bench [--quick --out BENCH_perf.json]
+    python -m repro collective --bench [--quick --out FILE]
     python -m repro gate check [--tier commit --workers 2 --json]
     python -m repro gate check --only 'incast_*'
     python -m repro serve run [--dir serve-data --port 8700 --pool 2]
@@ -110,30 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--json", action="store_true",
                          help="print the result (or a structured error "
                               "object) as JSON")
-    perf_p = sub.add_parser(
-        "perf", help="measure simulator wall-clock performance on fixed "
-                     "workloads and write BENCH_perf.json")
-    perf_p.add_argument("--quick", action="store_true",
-                        help="smaller workloads (CI smoke)")
-    perf_p.add_argument("--out", default="BENCH_perf.json",
-                        help="output JSON path")
-    perf_p.add_argument("--baseline", default=None,
-                        help="baseline JSON to compare against "
-                             "(default: the committed baseline)")
-    perf_p.add_argument("--no-baseline", action="store_true",
-                        help="skip the baseline comparison")
-    perf_p.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed rise of a workload's wall time, in units "
-                             "of the same run's naive ttcp_bulk wall, over "
-                             "the baseline's (0.30 = 30%%)")
-    perf_p.add_argument("--write-baseline", action="store_true",
-                        help="also overwrite the committed baseline")
-    perf_p.add_argument("--no-profile", action="store_true",
-                        help="skip the cProfile subsystem breakdown")
-    perf_p.add_argument("--workload", default=None, metavar="GLOB",
-                        help="only run workloads matching this glob "
-                             "(e.g. 'ttcp*'); the written report merges "
-                             "into an existing BENCH_perf.json")
     for cmd, help_text in (
             ("trace", "run a workload with full observability on and "
                       "write trace.jsonl / trace.chrome.json (Perfetto) / "
@@ -179,10 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also run the 1-process oracle and require "
                                 "bit-for-bit identical observables")
     cluster_p.add_argument("--bench", action="store_true",
-                           help="measure events/sec at 1/2/4 workers and "
-                                "merge into BENCH_perf.json")
-    cluster_p.add_argument("--out", default="BENCH_perf.json",
-                           help="--bench report path")
+                           help="measure events/sec at 1/2/4 workers")
+    cluster_p.add_argument("--out", metavar="FILE",
+                           help="--bench: also write the report to FILE")
     cluster_p.add_argument("--json", action="store_true",
                            help="print the result as JSON")
     coll_p = sub.add_parser(
@@ -227,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "for 512+ hosts)")
     coll_p.add_argument("--bench", action="store_true",
                         help="NIC-vs-host latency curves over several "
-                             "world sizes, merged into BENCH_perf.json")
+                             "world sizes")
     coll_p.add_argument("--quick", action="store_true",
                         help="--bench: small worlds (CI smoke)")
-    coll_p.add_argument("--out", default="BENCH_perf.json",
-                        help="--bench report path")
+    coll_p.add_argument("--out", metavar="FILE",
+                        help="--bench: also write the report to FILE")
     coll_p.add_argument("--json", action="store_true",
                         help="print the result (or a structured error "
                              "object) as JSON")
@@ -308,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "sweep 0.5x and 2x measured capacity)")
     serve_p.add_argument("--seed", type=int, default=1,
                          help="bench: Poisson arrival RNG seed")
-    serve_p.add_argument("--out", default="BENCH_perf.json",
-                         help="bench: report merge path")
+    serve_p.add_argument("--out", metavar="FILE",
+                         help="bench: also write the report to FILE")
     serve_p.add_argument("--json", action="store_true",
                          help="print results (or a structured error "
                               "object) as JSON")
@@ -325,6 +299,22 @@ def _json_error(command: str, kind: str, message: str, exit_code: int,
            "error": dict(extra, kind=kind, message=message)}
     print(_json.dumps(obj, indent=2, sort_keys=True))
     return exit_code
+
+
+def _emit_bench_report(args, section: str, report: dict, render) -> None:
+    """Shared tail of the three bench commands: print the report (one JSON
+    document under ``--json``) and, only when ``--out FILE`` was given,
+    write ``{section: report}`` to FILE, replacing whatever was there."""
+    import json as _json
+    if args.json:
+        print(_json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(render(report))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
+            _json.dump({section: report}, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(f"[wrote {args.out}]", file=sys.stderr)
 
 
 def run_trace_cmd(args) -> int:
@@ -356,39 +346,6 @@ def _render_metrics_snapshot(snapshot: dict) -> str:
         else:
             lines.append(f"  {name:40s} {value:>12,}")
     return "\n".join(lines)
-
-
-def run_perf_cmd(args) -> int:
-    from .bench.perf import (DEFAULT_BASELINE, compare_to_baseline,
-                             load_baseline, render, run_perf, write_report)
-    try:
-        report = run_perf(quick=args.quick, profile=not args.no_profile,
-                          workload=args.workload)
-    except ValueError as exc:
-        print(f"perf: {exc}", file=sys.stderr)
-        return 2
-    path = write_report(report, args.out)
-    print(render(report))
-    print(f"[wrote {path}]")
-    if args.write_baseline:
-        write_report(report, str(DEFAULT_BASELINE))
-        print(f"[wrote baseline {DEFAULT_BASELINE}]")
-        return 0
-    if args.no_baseline:
-        return 0
-    baseline = load_baseline(args.baseline)
-    if baseline is None:
-        print("perf: no baseline found; skipping regression check")
-        return 0
-    ok, messages = compare_to_baseline(report, baseline,
-                                       max_regression=args.max_regression)
-    for line in messages:
-        print("  " + line)
-    if not ok:
-        print(f"perf: normalised wall time regressed more than "
-              f"{args.max_regression:.0%} vs baseline", file=sys.stderr)
-        return 1
-    return 0
 
 
 def run_chaos_cmd(args) -> int:
@@ -446,19 +403,13 @@ def run_cluster_cmd(args) -> int:
     import json as _json
     from .cluster import (ClusterError, ClusterSpec, assert_equivalent,
                           make_flows, run_cluster, run_single)
-    from .cluster.bench import (measure_scaling, merge_into_bench_report,
-                                render_scaling, scaling_spec)
+    from .cluster.bench import measure_scaling, render_scaling, scaling_spec
     if args.bench:
         spec = scaling_spec(hosts=max(args.hosts, 32), seed=args.seed,
                             horizon=args.horizon)
         scaling = measure_scaling(spec, processes=not args.in_process,
                                   check_determinism=args.check_determinism)
-        path = merge_into_bench_report(scaling, args.out)
-        if args.json:
-            print(_json.dumps(scaling, indent=2, sort_keys=True))
-        else:
-            print(render_scaling(scaling))
-        print(f"[merged into {path}]")
+        _emit_bench_report(args, "cluster_scaling", scaling, render_scaling)
         return 0
     spec = ClusterSpec(
         topology=args.topology, hosts=args.hosts, seed=args.seed,
@@ -508,7 +459,7 @@ def run_collective_cmd(args) -> int:
     import json as _json
     from .collectives import CollectiveJob, CollectiveWorkSpec
     from .collectives.bench import (QUICK_WORLDS, measure_collectives,
-                                    merge_into_bench_report, render_curves)
+                                    render_curves)
     from .errors import ReproError
     try:
         if args.bench:
@@ -516,12 +467,7 @@ def run_collective_cmd(args) -> int:
                 worlds=QUICK_WORLDS if args.quick else (16, 32, 64),
                 algo=args.algo, vector_len=min(args.vector_len, 256),
                 seed=args.seed, horizon=args.horizon)
-            path = merge_into_bench_report(curves, args.out)
-            if args.json:
-                print(_json.dumps(curves, indent=2, sort_keys=True))
-            else:
-                print(render_curves(curves))
-            print(f"[merged into {path}]")
+            _emit_bench_report(args, "collectives", curves, render_curves)
             return 0 if curves["all_ok"] and curves["engines_agree"] else 1
         work = CollectiveWorkSpec(
             algo=args.algo, engine=args.engine, variant=args.variant,
@@ -692,8 +638,7 @@ def _serve_run_server(args) -> int:
 def run_serve_cmd(args) -> int:
     import json as _json
     from .errors import ReproError
-    from .serve import ServeClient, merge_into_bench_report, \
-        render_loadgen, run_loadgen
+    from .serve import ServeClient, render_loadgen, run_loadgen
     try:
         if args.action == "run":
             return _serve_run_server(args)
@@ -763,12 +708,7 @@ def run_serve_cmd(args) -> int:
         finally:
             if own_server is not None:
                 own_server.drain_and_stop(10.0)
-        path = merge_into_bench_report(report, args.out)
-        if args.json:
-            print(_json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(render_loadgen(report))
-        print(f"[merged into {path}]")
+        _emit_bench_report(args, "serve_load", report, render_loadgen)
         return 0
     except ReproError as exc:
         if args.json:
@@ -785,7 +725,6 @@ def main(argv=None) -> int:
             print(f"  {name:10s} {desc}")
         print("  all        run everything (slow: full-size NBD)")
         print("  chaos      fault-injection run with invariant checks")
-        print("  perf       simulator wall-clock benchmark (BENCH_perf.json)")
         print("  trace      traced run: Perfetto/Wireshark/metrics artifacts")
         print("  metrics    traced run: print the metrics report")
         print("  cluster    sharded parallel run of a large fabric "
@@ -799,8 +738,6 @@ def main(argv=None) -> int:
         return 0
     if args.command == "chaos":
         return run_chaos_cmd(args)
-    if args.command == "perf":
-        return run_perf_cmd(args)
     if args.command in ("trace", "metrics"):
         return run_trace_cmd(args)
     if args.command == "cluster":

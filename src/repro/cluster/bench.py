@@ -1,8 +1,8 @@
 """Cluster scaling measurement: events/sec vs worker count.
 
-Feeds the BENCH pipeline: results merge into ``BENCH_perf.json`` under
-``"cluster_scaling"`` (alongside ``repro perf``'s kernel numbers) and
-``benchmarks/bench_cluster_scaling.py`` renders them as a report.
+``repro cluster --bench`` prints the report (``--out FILE`` writes it
+under ``"cluster_scaling"``); ``scaling_spec`` is also the spec the
+``benchmarks/spine`` ``cluster_sharded`` workload runs.
 
 Honesty note: events/sec here is total kernel events divided by
 coordinator wall time, measured per worker count on the *same* spec.
@@ -14,7 +14,6 @@ run is checked against the oracle regardless.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, Iterable, Optional
 
@@ -87,20 +86,6 @@ def measure_scaling(spec: Optional[ClusterSpec] = None,
     if check_determinism:
         report["determinism"] = "sharded runs bit-identical to 1-process oracle"
     return report
-
-
-def merge_into_bench_report(scaling: Dict,
-                            path: str = "BENCH_perf.json") -> str:
-    """Record the scaling numbers alongside the kernel perf report."""
-    report = {}
-    if os.path.exists(path):
-        with open(path) as f:
-            report = json.load(f)
-    report["cluster_scaling"] = scaling
-    with open(path, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
 
 
 def render_scaling(scaling: Dict) -> str:

@@ -1,7 +1,7 @@
 """Collective latency curves: NIC offload vs host engine.
 
-Feeds the BENCH pipeline: results merge into ``BENCH_perf.json`` under
-``"collectives"`` and ``benchmarks/bench_collectives.py`` renders them.
+``repro collective --bench`` prints the curves (``--out FILE`` writes them
+under ``"collectives"``).
 
 The comparison is honest because both engines run the identical ring
 schedule and :func:`~repro.collectives.group.combine_into` rule over the
@@ -16,8 +16,6 @@ bit-identical result digests.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, Iterable
 
 from ..errors import ConfigError
@@ -83,20 +81,6 @@ def measure_collectives(worlds: Iterable[int] = FULL_WORLDS,
         report["curves"]["nic"][largest]["latency_us"]
         <= report["curves"]["host"][largest]["latency_us"])
     return report
-
-
-def merge_into_bench_report(curves: Dict,
-                            path: str = "BENCH_perf.json") -> str:
-    """Record the collective curves alongside the kernel perf report."""
-    report = {}
-    if os.path.exists(path):
-        with open(path) as f:
-            report = json.load(f)
-    report["collectives"] = curves
-    with open(path, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
 
 
 def render_curves(curves: Dict) -> str:

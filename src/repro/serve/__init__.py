@@ -27,8 +27,7 @@ from .admission import AdmissionQueue
 from .client import JobTimeout, ServeClient, ServeUnavailable
 from .job import (DONE, FAILED, INTERRUPTED, QUARANTINED, QUEUED, RUNNING,
                   Job, ServeConfig, job_error)
-from .loadgen import (calibrate, merge_into_bench_report, render_loadgen,
-                      run_loadgen)
+from .loadgen import calibrate, render_loadgen, run_loadgen
 from .server import ReproServer
 from .store import JobStore, read_journal
 from .supervisor import Supervisor, WorkerAttempt, exec_scenario
@@ -41,6 +40,5 @@ __all__ = [
     "Supervisor", "WorkerAttempt", "exec_scenario",
     "ReproServer",
     "ServeClient", "ServeUnavailable", "JobTimeout",
-    "run_loadgen", "calibrate", "merge_into_bench_report",
-    "render_loadgen",
+    "run_loadgen", "calibrate", "render_loadgen",
 ]

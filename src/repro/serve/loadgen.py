@@ -9,13 +9,12 @@ that matters for ``repro serve``: does the service shed cleanly (429 +
 ``Retry-After``, bounded queue, bounded accepted-job latency) or does
 it collapse?
 
-The report merges into ``BENCH_perf.json`` under ``"serve_load"``,
-next to the kernel and cluster numbers.
+``repro serve bench`` prints the report (``--out FILE`` writes it under
+``"serve_load"``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import threading
@@ -198,20 +197,6 @@ def run_loadgen(url: str, spec: Dict, duration_s: float = 4.0,
             entry["rate_capped"] = True
         report["phases"].append(entry)
     return report
-
-
-def merge_into_bench_report(report: Dict,
-                            path: str = "BENCH_perf.json") -> str:
-    """Record the load curves alongside the kernel/cluster numbers."""
-    merged = {}
-    if os.path.exists(path):
-        with open(path) as f:
-            merged = json.load(f)
-    merged["serve_load"] = report
-    with open(path, "w") as f:
-        json.dump(merged, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
 
 
 def render_loadgen(report: Dict) -> str:

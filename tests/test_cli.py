@@ -19,8 +19,9 @@ class TestListAndDispatch:
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
-        for extra in ("all", "chaos", "perf", "trace", "metrics"):
+        for extra in ("all", "chaos", "trace", "metrics"):
             assert extra in out
+        assert "perf" not in out
 
     def test_no_command_behaves_like_list(self, capsys):
         assert main([]) == 0
@@ -31,6 +32,20 @@ class TestListAndDispatch:
             main(["fig99"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_retired_perf_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [[], ["cluster"], ["collective"],
+                                      ["serve"]])
+    def test_help_names_no_report_file(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--help"])
+        assert exc.value.code == 0
+        assert "BENCH" not in capsys.readouterr().out
 
     def test_single_experiment_dispatch(self, capsys, monkeypatch):
         monkeypatch.setitem(EXPERIMENTS, "fig3",
@@ -74,49 +89,6 @@ class TestChaosCommand:
                    "--messages", "4", "--size", "256"])
         assert rc == 2
         assert "repro chaos: error:" in capsys.readouterr().err
-
-
-class TestPerfCommand:
-    @pytest.fixture
-    def stub_perf(self, monkeypatch, tmp_path):
-        """Replace the benchmark internals with instant stubs."""
-        import repro.bench.perf as perf
-        report = {"workloads": {"w": {"wall_s": 1.0}}}
-        calls = {}
-
-        monkeypatch.setattr(perf, "run_perf",
-                            lambda quick, profile, workload=None:
-                            calls.setdefault(
-                                "run", (quick, profile)) or report)
-        monkeypatch.setattr(perf, "write_report",
-                            lambda rep, path: calls.setdefault(
-                                "wrote", path) or path)
-        monkeypatch.setattr(perf, "render", lambda rep: "PERF-RENDERED")
-        monkeypatch.setattr(perf, "load_baseline", lambda path: None)
-        return calls
-
-    def test_perf_without_baseline_exits_zero(self, capsys, stub_perf,
-                                              tmp_path):
-        out_path = str(tmp_path / "perf.json")
-        assert main(["perf", "--quick", "--out", out_path]) == 0
-        out = capsys.readouterr().out
-        assert "PERF-RENDERED" in out
-        assert "no baseline found" in out
-        assert stub_perf["run"] == (True, True)
-        assert stub_perf["wrote"] == out_path
-
-    def test_perf_regression_exits_one(self, capsys, monkeypatch, stub_perf,
-                                       tmp_path):
-        import repro.bench.perf as perf
-        monkeypatch.setattr(perf, "load_baseline", lambda path: {"base": 1})
-        monkeypatch.setattr(perf, "compare_to_baseline",
-                            lambda rep, base, max_regression:
-                            (False, ["w: regressed"]))
-        assert main(["perf", "--quick",
-                     "--out", str(tmp_path / "perf.json")]) == 1
-        captured = capsys.readouterr()
-        assert "w: regressed" in captured.out
-        assert "regressed more than" in captured.err
 
 
 class TestTraceAndMetricsCommands:
@@ -445,16 +417,62 @@ class TestServeCommand:
         assert "pyyaml" in obj["error"]["message"]
 
     def test_bench_self_hosted_writes_report(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_perf.json"
+        out = tmp_path / "serve_load.json"
         rc = main(["serve", "bench", "--duration", "0.5",
                    "--rate", "6", "--pool", "1", "--out", str(out),
                    "--json"])
         assert rc == 0
-        captured = capsys.readouterr().out
-        obj = json.loads(captured[:captured.rindex("}") + 1])
+        obj = json.loads(capsys.readouterr().out)
         assert obj["scenario"] == "serve_bench"
         assert obj["phases"][0]["phase"] == "fixed"
         report = json.loads(out.read_text())
+        assert set(report) == {"serve_load"}
         load = report["serve_load"]
         assert load["calibration"]["capacity_jobs_per_s"] > 0
         assert load["phases"][0]["offered"] >= 1
+
+
+class TestBenchReports:
+    """The three bench commands share one output contract: ``--json``
+    prints exactly one JSON document on stdout, a file is written only
+    when ``--out`` is given, and it holds only that command's section."""
+
+    REPORT = {"all_ok": True, "engines_agree": True, "stub": [1, 2]}
+    CASES = {
+        "cluster_scaling": (["cluster", "--bench"],
+                            "repro.cluster.bench", "measure_scaling"),
+        "collectives": (["collective", "--bench", "--quick"],
+                        "repro.collectives.bench", "measure_collectives"),
+        "serve_load": (["serve", "bench", "--url", "http://127.0.0.1:9"],
+                       "repro.serve", "run_loadgen"),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def bench(self, request, monkeypatch, tmp_path):
+        """(section, argv) with the measurement stubbed, cwd in tmp_path."""
+        import importlib
+        argv, module, name = self.CASES[request.param]
+        monkeypatch.setattr(importlib.import_module(module), name,
+                            lambda *a, **kw: dict(self.REPORT))
+        monkeypatch.chdir(tmp_path)
+        return request.param, list(argv)
+
+    def test_json_is_one_document_and_nothing_is_written(self, capsys,
+                                                         bench, tmp_path):
+        _section, argv = bench
+        assert main(argv + ["--json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == self.REPORT
+        assert captured.err == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_out_holds_exactly_its_own_section(self, capsys, bench,
+                                               tmp_path):
+        section, argv = bench
+        out = tmp_path / "report.json"
+        out.write_text(json.dumps({"other": 1, section: "stale"}))
+        assert main(argv + ["--json", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == self.REPORT
+        assert str(out) in captured.err
+        assert json.loads(out.read_text()) == {section: self.REPORT}

@@ -431,6 +431,14 @@ class TestSupervisionChaos:
             job = _submit_ok(client, _spec_dict(name="once-a"),
                              key="chaos-a")
             pid = self._wait_worker(server)
+            # Kill only once the attempt has left its marker: a kill that
+            # lands between fork and the marker makes the retry take the
+            # first-attempt branch and sleep out the wait below.
+            marker = tmp_path / "once-a.marker"
+            deadline = time.monotonic() + 10
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert marker.exists()
             os.kill(pid, signal.SIGKILL)
             done = client.wait(job["id"], timeout_s=30)
             assert done["state"] == DONE

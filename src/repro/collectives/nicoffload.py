@@ -15,10 +15,10 @@ that property is pinned by gate scenarios.  Frames above the group's
 connection pair (the CTS rides the reverse direction) models SRAM
 staging admission and costs one extra round trip per step.
 
-Determinism: every charge goes through ``nic.stage`` / DMA events that
-behave identically in fast and naive modes, so NIC-offloaded results
-are bit-identical across ``repro.fastpath`` modes and across cluster
-shardings.
+Determinism: every charge goes through ``nic.stage`` / DMA events,
+whose eager and dispatch-chain paths agree on timestamps and tie order,
+so NIC-offloaded results are bit-identical under
+``tests/reference_paths.py`` and across cluster shardings.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from .. import fastpath as _fastpath
 from .. import obs
 from ..errors import (ConnectionReset, DmaError, QPStateError,
                       ResourceExhausted, VerbsError)
@@ -224,7 +223,7 @@ class QpipFirmware:
         t = self.nic.timing
         while True:
             if self.nic.doorbell_fifo:
-                if _fastpath.ENABLED and len(self.nic.doorbell_fifo) > 1:
+                if len(self.nic.doorbell_fifo) > 1:
                     walk = self._doorbell_burst()
                     if walk is not None:
                         yield walk

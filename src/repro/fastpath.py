@@ -1,64 +1,5 @@
-"""Global switch for the simulator's performance fast paths.
+"""There is one implementation of every behaviour; this constant only
+feeds the host fingerprint that ``benchmarks/spine/run.py`` records.
+The stepwise reference bodies live in ``tests/reference_paths.py``."""
 
-Every optimization that has a semantically-equivalent naive twin checks
-``ENABLED`` at the point of divergence:
-
-* word-folded vs byte-loop ones-complement checksums,
-* cached vs recomputed header wire bytes,
-* eager (horizon-based) vs dispatch-chain :class:`~repro.sim.WorkQueue`
-  completion on queues marked ``eager``.
-
-The contract is that the fast paths must be *invisible* in simulation
-results: same simulated timestamps, same completion streams, same wire
-bytes.  ``tests/test_fastpath_determinism.py`` enforces this by running
-workloads with the switch on and off and diffing the outputs.
-
-Disable with ``REPRO_FASTPATH=0`` in the environment, or at runtime::
-
-    from repro import fastpath
-    with fastpath.disabled():
-        ...
-
-Structural changes that are order-preserving by construction (lazy timer
-cancellation with heap compaction) are not gated — they cannot change
-the pop order of live heap entries.
-"""
-
-from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-
-ENABLED: bool = os.environ.get("REPRO_FASTPATH", "1") not in ("0", "false", "no")
-
-
-def enabled() -> bool:
-    return ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Set the global switch; returns the previous value."""
-    global ENABLED
-    previous = ENABLED
-    ENABLED = bool(flag)
-    return previous
-
-
-@contextmanager
-def disabled():
-    """Run a block on the naive reference paths."""
-    previous = set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
-
-
-@contextmanager
-def forced(flag: bool):
-    """Run a block with the switch pinned to ``flag``."""
-    previous = set_enabled(flag)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
+ENABLED = True

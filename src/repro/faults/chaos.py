@@ -441,6 +441,8 @@ def run_chaos(seed: int = 1,
     counts["checksum_drops"] = (node_a.firmware.stack.checksum_errors
                                 + node_b.firmware.stack.checksum_errors)
     result.fault_counts = counts
+    node_a.host.memory.release()
+    node_b.host.memory.release()
     return result
 
 
@@ -494,6 +496,8 @@ def _run_chaos_recover(seed: int, workload: str, plan: FaultPlan,
     counts["checksum_drops"] = (node_a.firmware.stack.checksum_errors
                                 + node_b.firmware.stack.checksum_errors)
     result.fault_counts = counts
+    node_a.host.memory.release()
+    node_b.host.memory.release()
     return result
 
 

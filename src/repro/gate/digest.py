@@ -4,8 +4,9 @@ A scenario's observable surface is reduced to named digests — per-flow
 CQE-stream hashes, per-host wire-trace hashes, a scalar metrics
 snapshot, fault counters, and the final simulated time.  Kernel event
 counts and packet trace ids are deliberately excluded: both may differ
-between the fast and naive simulation paths (and across shardings)
-while every paper-level observable stays bit-identical.
+between the product and the stepwise ``tests/reference_paths.py`` (and
+across shardings) while every paper-level observable stays
+bit-identical.
 """
 
 from __future__ import annotations

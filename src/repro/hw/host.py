@@ -38,7 +38,7 @@ class PciBus:
         """Like :meth:`dma`, but completion is delivered by calling
         ``fn`` — one deferred-call heap item on the fast path instead of
         a timer handle plus an Event with one callback.  Same transfer
-        time and tie ordering in both modes."""
+        time and tie ordering either way."""
         self.bytes_moved += nbytes
         duration = setup + nbytes / self.timing.bandwidth
         self.queue.submit_call(duration, fn, category=category)

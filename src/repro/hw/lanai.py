@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional
 
-from .. import fastpath as _fastpath
 from .. import obs
 from ..errors import DmaError
 from ..fabric.link import Attachment
@@ -149,8 +148,8 @@ class ProgrammableNic:
         each stage in turn — while the cycle counter still attributes
         time per stage.  Only legal when nothing observable happens
         between the stages (the firmware's parse/build sequences).
-        With fast paths disabled each stage is a separate submission,
-        exactly like the reference implementation.
+        ``tests/reference_paths.py`` holds the one-submission-per-stage
+        form this is checked against.
         """
         cyc = self.cycles
         if cyc.enabled:
@@ -162,15 +161,10 @@ class ProgrammableNic:
             for name, duration in pairs:
                 rec.complete("fw.stage", name, duration, track=track)
                 rec.metrics.histogram(f"fw.stage_us.{name}").add(duration)
-        if _fastpath.ENABLED:
-            total = 0.0
-            for _name, duration in pairs:
-                total += duration
-            return self.processor.submit_wait(total, category=pairs[0][0])
-        done = None
-        for name, duration in pairs:
-            done = self.processor.submit(duration, category=name)
-        return done
+        total = 0.0
+        for _name, duration in pairs:
+            total += duration
+        return self.processor.submit_wait(total, category=pairs[0][0])
 
     def stages_burst(self, pairs, boundary_fn, post_pairs):
         """One core walk for two merged stage spans with a callback at
@@ -193,7 +187,7 @@ class ProgrammableNic:
         fast path does not apply (caller falls back to the plain form;
         nothing has been charged or recorded).
         """
-        if not _fastpath.ENABLED or self.processor._busy:
+        if self.processor._busy:
             return None
         d_pre = self.stages(pairs)          # records pre-span cycles/obs now
         total = 0.0

@@ -4,15 +4,13 @@ The checksum is the real ones-complement algorithm over real header
 bytes; payload contributions come from the payload object so that
 zero-filled bulk payloads cost O(1).
 
-Two implementations coexist:
-
-* :func:`ones_complement_sum_naive` — the byte-pair reference loop,
-  kept as the oracle the property tests check against;
-* :func:`ones_complement_sum` — word folding via ``int.from_bytes``:
-  interpret the buffer as one big-endian integer and reduce it modulo
-  0xFFFF (2**16 ≡ 1 (mod 65535), so the residue *is* the end-around-
-  carry sum of the 16-bit words, with residue 0 of a non-zero total
-  rendered as 0xFFFF exactly like the carry loop renders it).
+:func:`ones_complement_sum` folds whole words via ``int.from_bytes``:
+interpret the buffer as one big-endian integer and reduce it modulo
+0xFFFF (2**16 ≡ 1 (mod 65535), so the residue *is* the end-around-
+carry sum of the 16-bit words, with residue 0 of a non-zero total
+rendered as 0xFFFF exactly like a carry loop renders it).  The
+byte-pair loop it is checked against is ``ones_complement_sum_ref`` in
+``tests/reference_paths.py``.
 
 :func:`incremental_update` is the RFC 1624 (eqn. 3) delta update used
 when a single header word changes in flight (ECN CE marking), so
@@ -21,30 +19,9 @@ forwarding does not recompute whole-header checksums.
 
 from __future__ import annotations
 
-import struct
-
-from .. import fastpath as _fastpath
-
-
-def ones_complement_sum_naive(data: bytes, initial: int = 0) -> int:
-    """Reference byte-pair loop (the oracle for the fast path)."""
-    acc = initial
-    n = len(data)
-    # Sum 16-bit big-endian words.
-    for i in range(0, n - 1, 2):
-        acc += (data[i] << 8) | data[i + 1]
-    if n % 2:
-        acc += data[-1] << 8
-    # Fold carries.
-    while acc >> 16:
-        acc = (acc & 0xFFFF) + (acc >> 16)
-    return acc
-
 
 def ones_complement_sum(data: bytes, initial: int = 0) -> int:
     """Return the running 16-bit ones-complement sum (not inverted)."""
-    if not _fastpath.ENABLED:
-        return ones_complement_sum_naive(data, initial)
     if len(data) & 1:
         # Odd tail byte occupies the high half of its word (big-endian).
         total = initial + (int.from_bytes(data, "big") << 8)
@@ -130,9 +107,6 @@ def pseudo_header_v6(src: bytes, dst: bytes, upper_len: int, next_header: int) -
     """Running sum of the IPv6 pseudo-header (RFC 8200 §8.1)."""
     if len(src) != 16 or len(dst) != 16:
         raise ValueError("IPv6 addresses must be 16 bytes")
-    if not _fastpath.ENABLED:
-        ph = src + dst + struct.pack("!IxxxB", upper_len, next_header)
-        return ones_complement_sum(ph)
     return _fold(_addr_pair_sum(src, dst)
                  + (upper_len >> 16) + (upper_len & 0xFFFF) + next_header)
 
@@ -141,7 +115,4 @@ def pseudo_header_v4(src: bytes, dst: bytes, upper_len: int, protocol: int) -> i
     """Running sum of the IPv4 pseudo-header (RFC 793 §3.1)."""
     if len(src) != 4 or len(dst) != 4:
         raise ValueError("IPv4 addresses must be 4 bytes")
-    if not _fastpath.ENABLED:
-        ph = src + dst + struct.pack("!BBH", 0, protocol, upper_len)
-        return ones_complement_sum(ph)
     return _fold(_addr_pair_sum(src, dst) + protocol + (upper_len & 0xFFFF))

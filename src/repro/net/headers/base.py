@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Tuple
 
-from ... import fastpath as _fastpath
 from ...errors import NetworkError
 
 
@@ -40,7 +39,7 @@ class Header:
 
     def encode(self) -> bytes:
         wire = self._wire
-        if wire is not None and _fastpath.ENABLED:
+        if wire is not None:
             return wire
         wire = self._encode_wire()
         object.__setattr__(self, "_wire", wire)

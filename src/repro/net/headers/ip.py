@@ -10,7 +10,6 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ... import fastpath as _fastpath
 from ..addresses import IPv4Address, IPv6Address
 from ..checksum import checksum, incremental_update
 from .base import DecodeError, Header, need
@@ -18,9 +17,7 @@ from .base import DecodeError, Header, need
 PROTO_TCP = 6
 PROTO_UDP = 17
 
-# Precompiled wire codecs (see headers.transport): fast encode is gated
-# with the original struct.pack bodies as oracle; decode always uses the
-# precompiled objects (bit-identical).
+# Precompiled wire codecs (see headers.transport).
 _IPV4_STRUCT = struct.Struct("!BBHHHBBH")
 _IPV6_STRUCT = struct.Struct("!IHBB")
 _U16_STRUCT = struct.Struct("!H")
@@ -105,23 +102,16 @@ class IPv4Header(Header):
         flags_frag = ((0x4000 if self.flags_df else 0)
                       | (0x2000 if self.flags_mf else 0)
                       | (self.frag_offset & 0x1FFF))
-        if _fastpath.ENABLED:
-            # Build in place, checksum over the zero-field buffer, then
-            # patch the checksum word — one allocation end to end.
-            buf = bytearray(20)
-            _IPV4_STRUCT.pack_into(
-                buf, 0, 0x45, self.dscp, self.total_length,
-                self.identification, flags_frag, self.ttl, self.protocol, 0)
-            buf[12:16] = self.src.packed
-            buf[16:20] = self.dst.packed
-            _U16_STRUCT.pack_into(buf, 10, checksum(buf))
-            return bytes(buf)
-        head = struct.pack(
-            "!BBHHHBBH", 0x45, self.dscp, self.total_length,
+        # Build in place, checksum over the zero-field buffer, then
+        # patch the checksum word — one allocation end to end.
+        buf = bytearray(20)
+        _IPV4_STRUCT.pack_into(
+            buf, 0, 0x45, self.dscp, self.total_length,
             self.identification, flags_frag, self.ttl, self.protocol, 0)
-        head += self.src.packed + self.dst.packed
-        csum = checksum(head)
-        return head[:10] + struct.pack("!H", csum) + head[12:]
+        buf[12:16] = self.src.packed
+        buf[16:20] = self.dst.packed
+        _U16_STRUCT.pack_into(buf, 10, checksum(buf))
+        return bytes(buf)
 
     @classmethod
     def decode(cls, data: bytes) -> Tuple["IPv4Header", int]:
@@ -196,12 +186,8 @@ class IPv6Header(Header):
 
     def _encode_wire(self) -> bytes:
         word0 = (6 << 28) | ((self.traffic_class & 0xFF) << 20) | (self.flow_label & 0xFFFFF)
-        if _fastpath.ENABLED:
-            return (_IPV6_STRUCT.pack(word0, self.payload_length,
-                                      self.next_header, self.hop_limit)
-                    + self.src.packed + self.dst.packed)
-        return (struct.pack("!IHBB", word0, self.payload_length,
-                            self.next_header, self.hop_limit)
+        return (_IPV6_STRUCT.pack(word0, self.payload_length,
+                                  self.next_header, self.hop_limit)
                 + self.src.packed + self.dst.packed)
 
     @classmethod

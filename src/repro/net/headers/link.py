@@ -12,7 +12,6 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ... import fastpath as _fastpath
 from ..addresses import MacAddress
 from .base import DecodeError, Header, need
 
@@ -47,9 +46,7 @@ class EthernetHeader(Header):
         return self.LEN
 
     def _encode_wire(self) -> bytes:
-        if _fastpath.ENABLED:
-            return self.dst.packed + self.src.packed + _U16_STRUCT.pack(self.ethertype)
-        return self.dst.packed + self.src.packed + struct.pack("!H", self.ethertype)
+        return self.dst.packed + self.src.packed + _U16_STRUCT.pack(self.ethertype)
 
     @classmethod
     def decode(cls, data: bytes) -> Tuple["EthernetHeader", int]:
@@ -90,9 +87,7 @@ class MyrinetHeader(Header):
         return 1 + len(self.route) + 2
 
     def _encode_wire(self) -> bytes:
-        if _fastpath.ENABLED:
-            return bytes([len(self.route)]) + bytes(self.route) + _U16_STRUCT.pack(self.ptype)
-        return bytes([len(self.route)]) + bytes(self.route) + struct.pack("!H", self.ptype)
+        return bytes([len(self.route)]) + bytes(self.route) + _U16_STRUCT.pack(self.ptype)
 
     @classmethod
     def decode(cls, data: bytes) -> Tuple["MyrinetHeader", int]:

@@ -12,16 +12,14 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ... import fastpath as _fastpath
 from ..checksum import combine, finish, ones_complement_sum
 from ..packet import Payload, ZeroPayload
 from .base import DecodeError, Header, need
 
 # Precompiled wire codecs: module-level Struct objects skip the format
-# parse / cache lookup inside struct.pack on every header build.  Fast
-# encode paths are gated on the global switch with the original
-# struct.pack bodies kept as the byte-for-byte oracle; decode uses the
-# precompiled objects unconditionally (bit-identical by construction).
+# parse / cache lookup inside struct.pack on every header build.  The
+# per-field struct.pack bodies they are checked against byte for byte
+# are ``encode_ref`` in tests/reference_paths.py.
 _UDP_STRUCT = struct.Struct("!HHHH")
 _TCP_BASE_STRUCT = struct.Struct("!HHIIBBHHH")
 _U16_STRUCT = struct.Struct("!H")
@@ -53,11 +51,8 @@ class UDPHeader(Header):
         return self.LEN
 
     def _encode_wire(self) -> bytes:
-        if _fastpath.ENABLED:
-            return _UDP_STRUCT.pack(self.src_port, self.dst_port,
-                                    self.length, self.checksum)
-        return struct.pack("!HHHH", self.src_port, self.dst_port,
-                           self.length, self.checksum)
+        return _UDP_STRUCT.pack(self.src_port, self.dst_port,
+                                self.length, self.checksum)
 
     @classmethod
     def decode(cls, data: bytes) -> Tuple["UDPHeader", int]:
@@ -80,24 +75,15 @@ def udp_fill_checksum(hdr: UDPHeader, pseudo_sum: int, payload: Payload) -> None
 def udp_verify_checksum(hdr: UDPHeader, pseudo_sum: int, payload: Payload) -> bool:
     if hdr.checksum == 0:       # checksum disabled (IPv4 only)
         return True
-    if _fastpath.ENABLED:
-        # Non-mutating: remove the stored checksum from the running sum
-        # by ones-complement subtraction instead of zeroing the field
-        # (which would invalidate the cached wire bytes twice).
-        stored = hdr.checksum
-        acc = combine(pseudo_sum, ones_complement_sum(hdr.encode()),
-                      payload.csum(), (~stored) & 0xFFFF)
-        expect = finish(acc)
-        expect = expect if expect != 0 else 0xFFFF
-        return expect == stored
-    stored, hdr.checksum = hdr.checksum, 0
-    try:
-        acc = combine(pseudo_sum, ones_complement_sum(hdr.encode()), payload.csum())
-        expect = finish(acc)
-        expect = expect if expect != 0 else 0xFFFF
-        return expect == stored
-    finally:
-        hdr.checksum = stored
+    # Non-mutating: remove the stored checksum from the running sum by
+    # ones-complement subtraction instead of zeroing the field (which
+    # would invalidate the cached wire bytes twice).
+    stored = hdr.checksum
+    acc = combine(pseudo_sum, ones_complement_sum(hdr.encode()),
+                  payload.csum(), (~stored) & 0xFFFF)
+    expect = finish(acc)
+    expect = expect if expect != 0 else 0xFFFF
+    return expect == stored
 
 
 # -- TCP ----------------------------------------------------------------------
@@ -197,45 +183,16 @@ class TCPHeader(Header):
 
     def _options_bytes(self) -> bytes:
         opts = self._opts
-        if opts is not None and _fastpath.ENABLED:
+        if opts is not None:
             return opts
         opts = self._build_options()
         object.__setattr__(self, "_opts", opts)
         return opts
 
     def _build_options(self) -> bytes:
-        if _fastpath.ENABLED:
-            return self._build_options_fast()
-        out = bytearray()
-        if self.mss is not None:
-            out += struct.pack("!BBH", OPT_MSS, 4, self.mss)
-        if self.wscale is not None:
-            out += struct.pack("!BBB", OPT_WSCALE, 3, self.wscale)
-            out += bytes([OPT_NOP])
-        if self.sack_permitted:
-            out += struct.pack("!BB", OPT_SACK_PERMITTED, 2)
-            out += bytes([OPT_NOP, OPT_NOP])
-        if self.ts_val is not None:
-            # RFC 1323 appendix A padding: NOP NOP TS.
-            out += bytes([OPT_NOP, OPT_NOP])
-            out += struct.pack("!BBII", OPT_TIMESTAMP, 10,
-                               self.ts_val & 0xFFFFFFFF,
-                               (self.ts_ecr or 0) & 0xFFFFFFFF)
-        if self.sack_blocks:
-            blocks = self.sack_blocks[:MAX_SACK_BLOCKS]
-            out += bytes([OPT_NOP, OPT_NOP])
-            out += struct.pack("!BB", OPT_SACK, 2 + 8 * len(blocks))
-            for left, right in blocks:
-                out += struct.pack("!II", left & 0xFFFFFFFF,
-                                   right & 0xFFFFFFFF)
-        while len(out) % 4:
-            out += bytes([OPT_EOL])
-        return bytes(out)
-
-    def _build_options_fast(self) -> bytes:
-        """Precompiled twin of the naive body above: same option order,
-        same NOP padding, same EOL tail — one Struct.pack per option
-        instead of per-field struct calls."""
+        """Options in the order MSS, WSCALE, SACK-permitted, TS, SACK,
+        each NOP-padded to a word (RFC 1323 appendix A: NOP NOP TS),
+        with an EOL tail — one Struct.pack per option."""
         ts_val = self.ts_val
         if (ts_val is not None and self.mss is None and self.wscale is None
                 and not self.sack_permitted and not self.sack_blocks):
@@ -274,17 +231,10 @@ class TCPHeader(Header):
 
     def _encode_wire(self) -> bytes:
         opts = self._options_bytes()
-        if _fastpath.ENABLED:
-            return _TCP_BASE_STRUCT.pack(
-                self.src_port, self.dst_port,
-                self.seq & 0xFFFFFFFF, self.ack & 0xFFFFFFFF,
-                ((self.BASE_LEN + len(opts)) // 4) << 4, self.flags & 0xFF,
-                self.window & 0xFFFF, self.checksum, self.urgent) + opts
-        data_offset = (self.BASE_LEN + len(opts)) // 4
-        return struct.pack(
-            "!HHIIBBHHH", self.src_port, self.dst_port,
+        return _TCP_BASE_STRUCT.pack(
+            self.src_port, self.dst_port,
             self.seq & 0xFFFFFFFF, self.ack & 0xFFFFFFFF,
-            data_offset << 4, self.flags & 0xFF,
+            ((self.BASE_LEN + len(opts)) // 4) << 4, self.flags & 0xFF,
             self.window & 0xFFFF, self.checksum, self.urgent) + opts
 
     @classmethod
@@ -344,16 +294,9 @@ def tcp_fill_checksum(hdr: TCPHeader, pseudo_sum: int, payload: Payload) -> None
 
 
 def tcp_verify_checksum(hdr: TCPHeader, pseudo_sum: int, payload: Payload) -> bool:
-    if _fastpath.ENABLED:
-        # Non-mutating verify (see udp_verify_checksum): the encoded
-        # bytes usually come straight from the sender-side cache.
-        stored = hdr.checksum
-        acc = combine(pseudo_sum, ones_complement_sum(hdr.encode()),
-                      payload.csum(), (~stored) & 0xFFFF)
-        return finish(acc) == stored
-    stored, hdr.checksum = hdr.checksum, 0
-    try:
-        acc = combine(pseudo_sum, ones_complement_sum(hdr.encode()), payload.csum())
-        return finish(acc) == stored
-    finally:
-        hdr.checksum = stored
+    # Non-mutating verify (see udp_verify_checksum): the encoded bytes
+    # usually come straight from the sender-side cache.
+    stored = hdr.checksum
+    acc = combine(pseudo_sum, ones_complement_sum(hdr.encode()),
+                  payload.csum(), (~stored) & 0xFFFF)
+    return finish(acc) == stored

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 from collections import deque
 
-from ... import fastpath as _fastpath
 from ... import obs
 from ...errors import ConnectionReset
 from ...sim import Simulator, Timer
@@ -360,10 +359,7 @@ class TcpConnection:
             # Data waits for ESTABLISHED; SYN/FIN chunks are queued directly.
             self._maybe_queue_fin()
             return
-        if _fastpath.ENABLED:
-            progressed = self._fill_output_burst()
-        else:
-            progressed = self._fill_output()
+        progressed = self._fill_output()
         self._maybe_queue_fin()
         if (not progressed and self._unsent and self.flight_size == 0
                 and self.state in DATA_DRAIN_STATES):
@@ -372,48 +368,20 @@ class TcpConnection:
             self._arm_persist()
 
     def _fill_output(self) -> bool:
-        """Reference sender fill: one window check, one chunk, one drain
-        notification per loop pass."""
-        progressed = False
-        while self._unsent:
-            usable = self._usable_window()
-            msg_id, payload = self._unsent[0]
-            if self.config.message_mode:
-                need = payload.length
-                if need > usable and self.flight_size > 0:
-                    break
-                if need > usable and need > self.snd_wnd:
-                    break  # receiver has not posted enough; wait for credit
-                self._unsent.popleft()
-                self._unsent_bytes -= payload.length
-                self._queue_chunk(SendChunk(seq=self.snd_nxt, payload=payload,
-                                            msg_id=msg_id))
-                progressed = True
-            else:
-                seg_len = min(self.effective_mss, usable, self._unsent_bytes)
-                if seg_len <= 0:
-                    break
-                if (not self.config.nodelay and seg_len < self.effective_mss
-                        and self.flight_size > 0):
-                    break  # Nagle: wait for a full segment or an ACK
-                chunk_payload = self._take_unsent(seg_len)
-                self._queue_chunk(SendChunk(seq=self.snd_nxt, payload=chunk_payload))
-                progressed = True
-        return progressed
+        """Sender fill: queue every sendable segment in one traversal,
+        with the window arithmetic hoisted into locals and updated
+        incrementally, then arm the RTO timer and notify the drain path
+        once for the whole burst.
 
-    def _fill_output_burst(self) -> bool:
-        """Batched twin of :meth:`_fill_output`: queue every sendable
-        segment in one traversal, with the window arithmetic hoisted
-        into locals and updated incrementally, then arm the RTO timer
-        and notify the drain path once for the whole burst.
-
-        Identical chunk boundaries and queue contents: nothing inside
-        the loop can move ``snd_wnd``, ``cc.window()`` or ``snd_una``
-        (the naive loop's recomputed ``_usable_window()`` only ever
-        changes by the just-queued chunk's ``seq_len``), and the drain
-        contexts either queue work asynchronously or synchronously pop
-        only the front descriptor — the same front segment, built from
-        the same state, in both modes.
+        Same chunk boundaries and queue contents as one window check,
+        one :meth:`_queue_chunk` and one drain notification per segment
+        (the stepwise loop in ``tests/reference_paths.py``): nothing
+        inside the loop can move ``snd_wnd``, ``cc.window()`` or
+        ``snd_una`` (a recomputed ``_usable_window()`` only ever changes
+        by the just-queued chunk's ``seq_len``), and the drain contexts
+        either queue work asynchronously or synchronously pop only the
+        front descriptor — the same front segment, built from the same
+        state, either way.
         """
         unsent = self._unsent
         if not unsent:

@@ -14,8 +14,7 @@ the structured layer on top:
 * :class:`TraceQuery` — assertion API for tests
   (``assert_span_order`` / ``assert_no_event`` / ``assert_latency_between``).
 
-Zero-cost-when-disabled contract (the ``repro.fastpath`` pattern): hot
-paths guard every hook with::
+Zero-cost-when-disabled contract: hot paths guard every hook with::
 
     from .. import obs
     ...

@@ -137,8 +137,8 @@ class _ProcWake:
     second pop resumes the process.  The general work-queue path resumes
     waiters via completion-handle → ``succeed`` → heap push, so *its*
     resume order among same-time events is set at fire time; the wake
-    cell must match that or fast and naive modes diverge on exact-time
-    ties.
+    cell must match that or a waiter's order on exact-time ties would
+    depend on which of the two paths its queue happened to take.
     """
 
     __slots__ = ("proc", "cancelled", "fired")
@@ -499,9 +499,10 @@ class Simulator:
         """Schedule a burst: ``steps`` is a sequence of ``(delay, fn)``
         pairs with non-decreasing delays from now (``fn`` may be None
         for a pure wait step).  One heap push schedules the whole burst;
-        each step fires at its exact time with naive-identical tie
-        ordering (see :class:`_BurstWalk`).  Returns the walker; a
-        process may ``yield`` it to park until the final step fires.
+        each step fires at its exact time with the tie ordering of the
+        general work-queue path (see :class:`_BurstWalk`).  Returns the
+        walker; a process may ``yield`` it to park until the final step
+        fires.
         """
         times = []
         fns = []

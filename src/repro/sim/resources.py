@@ -15,7 +15,6 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Optional
 
-from .. import fastpath as _fastpath
 from .engine import Event, SimulationError, Simulator
 
 
@@ -137,14 +136,15 @@ class WorkQueue:
 
     Queues constructed with ``eager=True`` (NIC cores, DMA engines —
     anything fed exclusively by default-priority, callback-free work)
-    take a fast path when the global fast-path switch is on: the serial
-    core is modelled as an advancing busy horizon and each submission
-    costs a single pre-triggered event at ``horizon + duration``,
-    instead of an inner heap entry plus a dispatch callback plus a
-    completion event.  Identical start/finish times, identical FIFO
-    order; a submission with a callback or non-default priority (or an
-    in-flight dispatch chain) falls back to the general path and
-    serializes after the horizon.
+    take a fast path: the serial core is modelled as an advancing busy
+    horizon and each submission costs a single pre-triggered event at
+    ``horizon + duration``, instead of an inner heap entry plus a
+    dispatch callback plus a completion event.  Identical start/finish
+    times, identical FIFO order; a submission with a callback or
+    non-default priority (or an in-flight dispatch chain) falls back to
+    the general path and serializes after the horizon.
+    ``tests/reference_paths.py`` runs whole workloads on the general
+    path alone to hold the two to the same timestamps and tie order.
 
     ``detailed=False`` turns off per-category accounting (the per-event
     dict churn) for callers that only need total utilization.
@@ -245,8 +245,7 @@ class WorkQueue:
         if duration < 0:
             raise SimulationError(f"negative work duration: {duration}")
         sim = self.sim
-        if fn is None and priority == 0 and not self._busy \
-                and _fastpath.ENABLED:
+        if fn is None and priority == 0 and not self._busy:
             now = sim.now
             start = self._busy_until
             if start < now:
@@ -269,7 +268,7 @@ class WorkQueue:
                 # time, exactly like the general path below (handle →
                 # _complete → succeed).  A plain Timeout here would give
                 # the waiter a submission-time sequence number and flip
-                # exact-time ties between fast and naive modes.
+                # exact-time ties between this and the general path.
                 done = Event(sim)
                 sim.call_later(finish - now, done.succeed)
                 return done
@@ -286,16 +285,16 @@ class WorkQueue:
 
         On the fast path this returns a plain delay (float) — the
         process trampoline turns it into a reusable wake cell, skipping
-        the Timeout allocation entirely.  Off the fast path (or under
-        contention) it returns the normal completion event.  Never use
-        this when the result is stored and yielded later: a plain delay
-        starts counting when yielded, not when submitted.
+        the Timeout allocation entirely.  Under contention it returns
+        the normal completion event.  Never use this when the result is
+        stored and yielded later: a plain delay starts counting when
+        yielded, not when submitted.
         """
         if self.parked is not None:
             self.parked.settle()
         if duration < 0:
             raise SimulationError(f"negative work duration: {duration}")
-        if not self._busy and _fastpath.ENABLED:
+        if not self._busy:
             sim = self.sim
             now = sim.now
             start = self._busy_until
@@ -322,7 +321,7 @@ class WorkQueue:
             self.parked.settle()
         if duration < 0:
             raise SimulationError(f"negative work duration: {duration}")
-        if not self._busy and _fastpath.ENABLED:
+        if not self._busy:
             sim = self.sim
             now = sim.now
             start = self._busy_until
@@ -346,7 +345,7 @@ class WorkQueue:
         walker in the kernel heap (no Event, no callback list, no timer
         handle); otherwise it degrades to :meth:`submit` plus a
         completion callback.  Identical completion time and same-time
-        tie ordering in both modes.
+        tie ordering either way.
         """
         delay = self.try_charge(duration, category)
         if delay is not None:

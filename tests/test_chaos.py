@@ -2,10 +2,13 @@
 end-to-end invariants (exact delivery, WR conservation, determinism,
 total flush on QP death).  The harness lives in `repro.faults.chaos`."""
 
+import gc
+
 import pytest
 
 from repro.core.qp import QPState
 from repro.faults import FaultPlan, check_determinism, run_chaos
+from repro.mem import PhysicalMemory
 
 
 def lossy_plan():
@@ -111,3 +114,21 @@ class TestKillSemantics:
         assert result.ok, result.summary()
         assert result.client_completed == result.client_posted
         assert result.server_completed == result.server_posted
+
+
+def _memories_holding_frames():
+    return {id(mem) for mem in gc.get_objects()
+            if isinstance(mem, PhysicalMemory) and mem.frames_materialized}
+
+
+@pytest.mark.parametrize("recover", [False, True])
+def test_a_finished_run_gives_its_simulated_ram_back(recover):
+    """A world is one reference cycle, so it outlives ``run_chaos`` until
+    the next full collection; its 4 KiB frames must not."""
+    gc.collect()                    # earlier tests' garbage is gone
+    before = _memories_holding_frames()
+    result = run_chaos(seed=3, plan=lossy_plan(), recover=recover,
+                       messages=32, msg_size=4096)
+    assert result.ok, result.summary()
+    # No collection here: the dead world is still in gc.get_objects().
+    assert _memories_holding_frames() <= before

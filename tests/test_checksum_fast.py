@@ -1,21 +1,22 @@
-"""The word-folding checksum fast path against the byte-pair oracle.
+"""The word-folding checksum against the byte-pair oracle.
 
-The fast ``ones_complement_sum`` interprets the buffer as one big
-integer and reduces it mod 0xFFFF; these tests pin the tricky edges
-(odd tails, all-zero buffers, the 0 vs 0xFFFF residue rendering) and
-cross-check it against the naive reference loop — exhaustively on small
-inputs and property-based via Hypothesis when it is installed.
+``ones_complement_sum`` interprets the buffer as one big integer and
+reduces it mod 0xFFFF; these tests pin the tricky edges (odd tails,
+all-zero buffers, the 0 vs 0xFFFF residue rendering) and cross-check it
+against the reference loop in ``tests/reference_paths.py`` —
+exhaustively on small inputs and property-based via Hypothesis when it
+is installed.
 """
 
 import struct
 
 import pytest
 
-from repro import fastpath
+from reference_paths import (ones_complement_sum_ref, pseudo_header_v4_ref,
+                             pseudo_header_v6_ref)
 from repro.net.checksum import (checksum, combine, finish,
                                 incremental_update, ones_complement_sum,
-                                ones_complement_sum_naive, pseudo_header_v4,
-                                pseudo_header_v6, subtract)
+                                pseudo_header_v4, pseudo_header_v6, subtract)
 
 
 class TestOddTail:
@@ -23,17 +24,17 @@ class TestOddTail:
         # RFC 1071: a trailing odd byte is padded with zeros on the
         # right, i.e. it contributes <byte> << 8, not <byte>.
         assert ones_complement_sum(b"\xab") == 0xAB00
-        assert ones_complement_sum_naive(b"\xab") == 0xAB00
+        assert ones_complement_sum_ref(b"\xab") == 0xAB00
 
     def test_odd_length_matches_naive(self):
         data = bytes(range(1, 60))  # 59 bytes, odd
-        assert ones_complement_sum(data) == ones_complement_sum_naive(data)
+        assert ones_complement_sum(data) == ones_complement_sum_ref(data)
 
     def test_even_then_odd_boundary(self):
         for n in range(0, 9):
             data = bytes([0x5A] * n)
             assert ones_complement_sum(data) == \
-                ones_complement_sum_naive(data), n
+                ones_complement_sum_ref(data), n
 
     def test_empty(self):
         assert ones_complement_sum(b"") == 0
@@ -46,13 +47,13 @@ class TestOddTail:
     def test_residue_zero_nonzero_total_renders_ffff(self):
         # 0xFFFF + 0x0000 folds to residue 0 with a non-zero total.
         assert ones_complement_sum(b"\xff\xff") == 0xFFFF
-        assert ones_complement_sum_naive(b"\xff\xff") == 0xFFFF
+        assert ones_complement_sum_ref(b"\xff\xff") == 0xFFFF
 
     def test_initial_accumulator(self):
         data = b"\x12\x34\x56"
         for init in (0, 1, 0xFFFF, 0x1234):
             assert ones_complement_sum(data, init) == \
-                ones_complement_sum_naive(data, init)
+                ones_complement_sum_ref(data, init)
 
 
 class TestExhaustiveSmall:
@@ -61,15 +62,7 @@ class TestExhaustiveSmall:
             for lo in range(0, 256, 13):
                 data = bytes([hi, lo])
                 assert ones_complement_sum(data) == \
-                    ones_complement_sum_naive(data)
-
-    def test_naive_path_used_when_fastpath_off(self):
-        data = bytes(range(37))
-        with fastpath.forced(False):
-            off = ones_complement_sum(data)
-        with fastpath.forced(True):
-            on = ones_complement_sum(data)
-        assert off == on == ones_complement_sum_naive(data)
+                    ones_complement_sum_ref(data)
 
 
 class TestIncrementalUpdate:
@@ -102,24 +95,21 @@ class TestIncrementalUpdate:
 class TestPseudoHeaders:
     def test_v4_matches_packed_reference(self):
         src, dst = bytes([10, 1, 2, 3]), bytes([10, 4, 5, 6])
-        ph = src + dst + struct.pack("!BBH", 0, 6, 1234)
         assert pseudo_header_v4(src, dst, 1234, 6) == \
-            ones_complement_sum_naive(ph)
+            pseudo_header_v4_ref(src, dst, 1234, 6)
 
     def test_v6_matches_packed_reference(self):
         src, dst = bytes(range(16)), bytes(range(16, 32))
-        ph = src + dst + struct.pack("!IxxxB", 99999, 6)
         assert pseudo_header_v6(src, dst, 99999, 6) == \
-            ones_complement_sum_naive(ph)
+            pseudo_header_v6_ref(src, dst, 99999, 6)
 
     def test_v6_cache_consistent_across_lengths(self):
         # The memoized address-pair sum must not leak between calls with
         # different upper lengths.
         src, dst = bytes(16), bytes([1] * 16)
         for upper in (0, 1, 0xFFFF, 0x10000, 0x12345):
-            ph = src + dst + struct.pack("!IxxxB", upper, 17)
             assert pseudo_header_v6(src, dst, upper, 17) == \
-                ones_complement_sum_naive(ph)
+                pseudo_header_v6_ref(src, dst, upper, 17)
 
 
 class TestPropertyBased:
@@ -132,7 +122,7 @@ class TestPropertyBased:
                init=st.integers(min_value=0, max_value=0xFFFF))
         def check(data, init):
             assert ones_complement_sum(data, init) == \
-                ones_complement_sum_naive(data, init)
+                ones_complement_sum_ref(data, init)
 
         check()
 

@@ -7,7 +7,7 @@ The heavyweight properties pinned here:
   checksums, healed by TCP retransmission, and the application observes
   byte-identical payloads — no corrupted segment ever reaches a CQE;
 * incast: N→1 fan-in completes bounded, loss-free, and bit-identically
-  across fast/naive simulation and 1-process/sharded execution;
+  across product/reference paths and 1-process/sharded execution;
 * the gate never hangs: a wedged or SIGKILLed scenario worker becomes a
   structured ScenarioFailed within its wall-clock cap, and a wedged
   shard worker becomes a typed WorkerHung.
@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro import fastpath
+from reference_paths import reference_paths
 from repro.cluster import (ClusterSpec, WorkerHung, incast_flows,
                            run_cluster, run_single)
 from repro.cluster.shard import ShardWorker
@@ -163,14 +163,15 @@ class TestCorruptionEndToEnd:
         oracle = run_single(self.SPEC)
         from repro.cluster import assert_equivalent
         assert_equivalent(oracle, run_cluster(self.SPEC, 2))
-        with fastpath.disabled():
+        with reference_paths():
             naive = run_single(self.SPEC)
         assert scenario_digests(naive) == scenario_digests(oracle)
 
 
 class TestIncastRegression:
     """Satellite: 8→1 incast on the fat-tree — bounded completion, no WR
-    loss, per-seed deterministic counters in fast and naive modes."""
+    loss, per-seed deterministic counters as the product and on the
+    reference paths."""
 
     SPEC = ClusterSpec(
         topology="fat-tree", hosts=12,
@@ -206,9 +207,8 @@ class TestIncastRegression:
                                 f"{done}us"
 
     def test_counters_deterministic_across_modes_and_shardings(self):
-        with fastpath.forced(True):
-            fast = run_single(self.SPEC)
-        with fastpath.disabled():
+        fast = run_single(self.SPEC)
+        with reference_paths():
             naive = run_single(self.SPEC)
         sharded = run_cluster(self.SPEC, 2)
         a, b, c = (self._counters(r) for r in (fast, naive, sharded))
@@ -227,7 +227,8 @@ class TestBatchedPathAdversityDeterminism:
     must be invisible under adversity, not just on clean runs.  The
     committed gate scenarios below drive retransmission, SACK, dup-ACK
     and reassembly through the batched paths; the digests (CQE streams,
-    wire traces, metrics, final clock) must match the naive oracle."""
+    wire traces, metrics, final clock) must match the stepwise oracle
+    (``reference_paths()``)."""
 
     NAMES = ("reorder_storm_trunk", "drop_host_links", "corrupt_trunk")
 
@@ -237,9 +238,8 @@ class TestBatchedPathAdversityDeterminism:
         if not os.path.exists(path):
             pytest.skip(f"committed scenario {name} not present")
         spec = load_scenario(path).cluster_spec()
-        with fastpath.forced(True):
-            fast = run_single(spec)
-        with fastpath.disabled():
+        fast = run_single(spec)
+        with reference_paths():
             naive = run_single(spec)
         assert scenario_digests(fast) == scenario_digests(naive)
 

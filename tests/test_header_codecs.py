@@ -1,9 +1,9 @@
 """Property tests: the precompiled header codecs are byte-for-byte
 identical to the naive per-field serializers.
 
-Every header class gained a fastpath-gated encode built on module-level
-``struct.Struct`` objects; the naive ``struct.pack`` bodies are the
-oracle.  Hypothesis drives randomized field values through both branches
+Every header class encodes with module-level ``struct.Struct`` objects;
+the per-field ``struct.pack`` bodies in ``tests/reference_paths.py``
+are the oracle.  Hypothesis drives randomized field values through both
 and asserts identical wire bytes, plus decode round-trips and the
 odd-length payload / checksum-tail edges the word-folding checksum has
 to get right.
@@ -11,9 +11,12 @@ to get right.
 
 from hypothesis import given, settings, strategies as st
 
-from repro import fastpath
+from reference_paths import (encode_ref, ones_complement_sum_ref,
+                             pseudo_header_v4_ref, pseudo_header_v6_ref,
+                             tcp_verify_ref, udp_verify_ref)
 from repro.net.addresses import IPv4Address, IPv6Address, MacAddress
-from repro.net.checksum import ones_complement_sum
+from repro.net.checksum import (combine, finish, ones_complement_sum,
+                                pseudo_header_v4, pseudo_header_v6)
 from repro.net.headers.ip import IPv4Header, IPv6Header, PROTO_TCP
 from repro.net.headers.link import EthernetHeader, MyrinetHeader
 from repro.net.headers.transport import (TCPHeader, UDPHeader,
@@ -29,13 +32,19 @@ u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 
 def both_encodings(hdr_factory):
-    """Encode a fresh header under each mode (fresh per mode: encode
-    caches wire bytes on the instance)."""
-    with fastpath.forced(True):
-        fast = hdr_factory().encode()
-    with fastpath.forced(False):
-        naive = hdr_factory().encode()
-    return fast, naive
+    """Encode a fresh header with the product codec and with the
+    reference (fresh per side: encode caches wire bytes on the
+    instance)."""
+    return hdr_factory().encode(), encode_ref(hdr_factory())
+
+
+def filled_ref(hdr, pseudo: int, body: bytes, zero_as_ffff: bool) -> bytes:
+    """Wire bytes of ``hdr`` with its checksum computed by the
+    references alone (``hdr.checksum`` must be 0 on entry)."""
+    value = finish(combine(pseudo, ones_complement_sum_ref(encode_ref(hdr)),
+                           ones_complement_sum_ref(body)))
+    hdr.checksum = 0xFFFF if zero_as_ffff and value == 0 else value
+    return encode_ref(hdr)
 
 
 sack_block = st.tuples(u32, u32)
@@ -194,43 +203,52 @@ class TestChecksumEdges:
            src=st.binary(min_size=16, max_size=16),
            dst=st.binary(min_size=16, max_size=16))
     def test_tcp_checksum_odd_payload_fast_vs_naive(self, body, src, dst):
-        from repro.net.checksum import pseudo_header_v6
+        payload = BytesPayload(body)
+        hdr = TCPHeader(5, 6, seq=1, ack=2, flags=0x18, ts_val=3)
+        upper_len = hdr.header_len() + payload.length
+        pseudo = pseudo_header_v6(src, dst, upper_len, PROTO_TCP)
+        tcp_fill_checksum(hdr, pseudo, payload)
+        assert tcp_verify_checksum(hdr, pseudo, payload)
 
-        def filled(flag):
-            with fastpath.forced(flag):
-                hdr = TCPHeader(5, 6, seq=1, ack=2, flags=0x18, ts_val=3)
-                payload = BytesPayload(body)
-                pseudo = pseudo_header_v6(
-                    src, dst, hdr.header_len() + payload.length, PROTO_TCP)
-                tcp_fill_checksum(hdr, pseudo, payload)
-                assert tcp_verify_checksum(hdr, pseudo, payload)
-                return hdr.encode()
-
-        assert filled(True) == filled(False)
+        ref = TCPHeader(5, 6, seq=1, ack=2, flags=0x18, ts_val=3)
+        pseudo_ref = pseudo_header_v6_ref(src, dst, upper_len, PROTO_TCP)
+        assert pseudo_ref == pseudo
+        assert filled_ref(ref, pseudo_ref, body, False) == hdr.encode()
+        # Each verifier accepts the other side's header, leaves it as
+        # it found it, and rejects a flipped payload bit.
+        assert tcp_verify_ref(hdr, pseudo, payload)
+        assert tcp_verify_checksum(ref, pseudo, payload)
+        assert hdr == ref and hdr.encode() == encode_ref(ref)
+        if body:
+            bad = BytesPayload(bytes([body[0] ^ 1]) + body[1:])
+            assert not tcp_verify_ref(hdr, pseudo, bad)
+            assert not tcp_verify_checksum(hdr, pseudo, bad)
 
     @settings(max_examples=100, deadline=None)
     @given(body=st.binary(min_size=0, max_size=65),
            src=st.binary(min_size=4, max_size=4),
            dst=st.binary(min_size=4, max_size=4))
     def test_udp_checksum_odd_payload_fast_vs_naive(self, body, src, dst):
-        from repro.net.checksum import pseudo_header_v4
+        payload = BytesPayload(body)
+        hdr = UDPHeader(5, 6, length=8 + len(body))
+        pseudo = pseudo_header_v4(src, dst, hdr.length, 17)
+        udp_fill_checksum(hdr, pseudo, payload)
+        assert udp_verify_checksum(hdr, pseudo, payload)
 
-        def filled(flag):
-            with fastpath.forced(flag):
-                hdr = UDPHeader(5, 6, length=8 + len(body))
-                payload = BytesPayload(body)
-                pseudo = pseudo_header_v4(src, dst, hdr.length, 17)
-                udp_fill_checksum(hdr, pseudo, payload)
-                assert udp_verify_checksum(hdr, pseudo, payload)
-                return hdr.encode()
-
-        assert filled(True) == filled(False)
+        ref = UDPHeader(5, 6, length=8 + len(body))
+        pseudo_ref = pseudo_header_v4_ref(src, dst, ref.length, 17)
+        assert pseudo_ref == pseudo
+        assert filled_ref(ref, pseudo_ref, body, True) == hdr.encode()
+        assert udp_verify_ref(hdr, pseudo, payload)
+        assert udp_verify_checksum(ref, pseudo, payload)
+        assert hdr == ref and hdr.encode() == encode_ref(ref)
+        if body:
+            bad = BytesPayload(bytes([body[0] ^ 1]) + body[1:])
+            assert not udp_verify_ref(hdr, pseudo, bad)
+            assert not udp_verify_checksum(hdr, pseudo, bad)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.binary(min_size=0, max_size=67), initial=u16)
     def test_ones_complement_sum_fast_vs_naive(self, data, initial):
-        with fastpath.forced(True):
-            fast = ones_complement_sum(data, initial)
-        with fastpath.forced(False):
-            naive = ones_complement_sum(data, initial)
-        assert fast == naive
+        assert ones_complement_sum(data, initial) == \
+            ones_complement_sum_ref(data, initial)

@@ -67,6 +67,18 @@ class TestAddressSpace:
         aspace.write(rng.addr, b"x")
         assert phys.frames_materialized == 1
 
+    def test_release_drops_frames_and_reads_zeros(self, phys, aspace):
+        rng = aspace.alloc(3 * PAGE_SIZE)
+        aspace.write(rng.addr + PAGE_SIZE - 2, b"abcd")      # two frames
+        assert phys.frames_materialized == 2
+        phys.release()
+        assert phys.frames_materialized == 0
+        assert aspace.read(rng.addr + PAGE_SIZE - 2, 4) == bytes(4)
+        assert aspace.is_all_zero(rng.addr, rng.length)
+        aspace.write(rng.addr, b"z")                         # still mapped
+        assert phys.frames_materialized == 1
+        assert aspace.read(rng.addr, 2) == b"z\x00"
+
     def test_is_all_zero(self, aspace):
         rng = aspace.alloc(2 * PAGE_SIZE)
         assert aspace.is_all_zero(rng.addr, rng.length)

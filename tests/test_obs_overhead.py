@@ -13,18 +13,19 @@ transmit, switch forwarding, host softirq, TCP loss handling):
   We re-run the golden-determinism workloads with tracing on and
   assert completions, wire traces (timestamps included) and final sim
   time are bit-for-bit identical to the untraced runs — and that the
-  fast-vs-naive equivalence still holds while traced.
+  product-vs-reference equivalence still holds while traced.
 """
 
 import importlib
 import pkgutil
 
+from reference_paths import reference_paths
 from repro import obs
 from test_fastpath_determinism import (_run_pingpong, _run_ttcp,
                                        _run_verbs_exchange)
 
 
-def _run_traced(fn, enabled):
+def _run_traced(fn):
     """Run a determinism workload with a recorder installed.
 
     The workload constructs its own Simulator internally, so the
@@ -35,7 +36,7 @@ def _run_traced(fn, enabled):
     from repro.sim import Simulator
     shim = Simulator()
     with obs.capture(shim) as rec:
-        out = fn(enabled)
+        out = fn()
     return out, rec
 
 
@@ -59,30 +60,31 @@ class TestDisabledIsDefault:
 
 class TestTracedRunsAreBitIdentical:
     def test_ttcp_traced_equals_untraced(self):
-        plain = _run_ttcp(True)
-        traced, rec = _run_traced(_run_ttcp, True)
+        plain = _run_ttcp()
+        traced, rec = _run_traced(_run_ttcp)
         assert traced == plain
         assert rec.records  # tracing actually happened
 
     def test_pingpong_traced_equals_untraced(self):
-        plain = _run_pingpong(True)
-        traced, rec = _run_traced(_run_pingpong, True)
+        plain = _run_pingpong()
+        traced, rec = _run_traced(_run_pingpong)
         assert traced == plain
         assert rec.records
 
     def test_verbs_exchange_traced_equals_untraced(self):
-        plain = _run_verbs_exchange(True)
-        traced, rec = _run_traced(_run_verbs_exchange, True)
+        plain = _run_verbs_exchange()
+        traced, rec = _run_traced(_run_verbs_exchange)
         assert traced == plain
         assert rec.records
 
     def test_fastpath_equivalence_holds_while_traced(self):
-        fast, rec_fast = _run_traced(_run_ttcp, True)
-        slow, rec_slow = _run_traced(_run_ttcp, False)
+        fast, rec_fast = _run_traced(_run_ttcp)
+        with reference_paths():
+            slow, rec_slow = _run_traced(_run_ttcp)
         assert fast["result"] == slow["result"]
         assert fast["wire"] == slow["wire"]
         assert fast["now"] == slow["now"]
-        # Both modes walked the same span structure too: same number of
+        # Both walked the same span structure too: same number of
         # WR spans begun and ended.
         for rec in (rec_fast, rec_slow):
             assert any(ev.ph == "b" for ev in rec.records)
@@ -91,5 +93,5 @@ class TestTracedRunsAreBitIdentical:
         assert fast_spans == slow_spans
 
     def test_recorder_uninstalled_after_each_run(self):
-        _run_traced(_run_pingpong, True)
+        _run_traced(_run_pingpong)
         assert obs.RECORDER is None

@@ -182,27 +182,23 @@ class TestWorkQueue:
             wq.submit(-1)
 
     def test_queue_depth(self, sim):
-        from repro import fastpath
-        with fastpath.forced(False):
-            wq = WorkQueue(sim)
-            wq.submit(10)
-            wq.submit(10)
-            wq.submit(10)
-            assert wq.queue_depth == 2  # one is in service
-            assert wq.busy
+        # Callback work always takes the general dispatch chain.
+        wq = WorkQueue(sim)
+        for _ in range(3):
+            wq.submit(10, fn=lambda: None)
+        assert wq.queue_depth == 2  # one is in service
+        assert wq.busy
 
     def test_queue_depth_fast_path(self, sim):
         # With the idle fast path, the first item is accounted eagerly
         # (busy horizon) and the next is dispatched behind it; only the
         # third waits in the heap.  Completion times are identical.
-        from repro import fastpath
-        with fastpath.forced(True):
-            wq = WorkQueue(sim)
-            wq.submit(10)
-            wq.submit(10)
-            wq.submit(10)
-            assert wq.queue_depth == 1
-            assert wq.busy
+        wq = WorkQueue(sim)
+        wq.submit(10)
+        wq.submit(10)
+        wq.submit(10)
+        assert wq.queue_depth == 1
+        assert wq.busy
         sim.run()
         assert sim.now == 30
         assert wq.busy_time == 30

@@ -4,18 +4,19 @@
 polls in closed form.  ``reference_spin`` below is the event-per-poll
 loop it replaced, kept verbatim; everything here asserts that the two
 are indistinguishable in simulated time, completions and CPU accounting
-— bit for bit, in fast and naive mode.
+— bit for bit, as the product and under ``reference_paths()``.
 """
 
 import hashlib
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import fastpath
+from reference_paths import reference_paths
 from repro.apps.pingpong import qpip_udp_rtt
 from repro.bench.configs import build_qpip_pair
 from repro.core import CompletionQueue
@@ -71,10 +72,15 @@ class Scenario:
     timing: QpipHostTiming = QpipHostTiming()
 
 
-def observe(scn: Scenario, spin_impl, fast: bool) -> dict:
+PRODUCT, REFERENCE = nullcontext, reference_paths
+
+
+def observe(scn: Scenario, spin_impl, paths) -> dict:
     """Run ``scn`` with ``spin_impl`` and return everything a caller
-    could tell the two implementations apart by."""
-    with fastpath.forced(fast):
+    could tell the two implementations apart by.  ``paths`` is
+    ``PRODUCT`` or ``REFERENCE``: what the rest of the simulator runs
+    on around the spinner."""
+    with paths():
         sim = Simulator()
         nodes = build_qpip_pair(sim)[:2]
         for node in nodes:
@@ -139,10 +145,10 @@ def observe(scn: Scenario, spin_impl, fast: bool) -> dict:
 
 
 def assert_indistinguishable(scn: Scenario) -> dict:
-    for fast in (True, False):
-        want = observe(scn, reference_spin, fast)
-        got = observe(scn, elided_spin, fast)
-        assert got == want, f"fast={fast}"
+    for paths in (PRODUCT, REFERENCE):
+        want = observe(scn, reference_spin, paths)
+        got = observe(scn, elided_spin, paths)
+        assert got == want, paths.__name__
     return got
 
 
@@ -234,9 +240,9 @@ def test_poll_start_tie_with_a_wakeup_scheduled_long_before():
     scn = Scenario(spinners=(Spinner(0, 0, 0.0, 0.5),), pushes=(),
                    foreign=(Foreign(0, 7.0, 2.0, "submit"),), horizon=20.0,
                    timing=DYADIC)
-    for fast in (True, False):
-        assert observe(scn, elided_spin, fast)["foreign"][0] == [9.5]
-        assert observe(scn, reference_spin, fast)["foreign"][0] == [9.0]
+    for paths in (PRODUCT, REFERENCE):
+        assert observe(scn, elided_spin, paths)["foreign"][0] == [9.5]
+        assert observe(scn, reference_spin, paths)["foreign"][0] == [9.0]
 
 
 @pytest.mark.parametrize("kind", ["submit", "submit_wait", "submit_fn"])
@@ -341,8 +347,8 @@ def test_abort_qp_wakes_and_deregisters_a_parked_spinner():
 # -- results recorded at the parent commit -----------------------------------------
 
 def test_udp_rtt_list_is_the_one_the_stepwise_loop_produced():
-    for fast in (True, False):
-        with fastpath.forced(fast):
+    for paths in (PRODUCT, REFERENCE):
+        with paths():
             sim = Simulator()
             a, b, _fabric = build_qpip_pair(sim)
             rtts = qpip_udp_rtt(sim, a, b, iterations=100).rtts

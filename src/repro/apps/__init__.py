@@ -1,14 +1,13 @@
 """Applications: ping-pong RTT, ttcp throughput, NBD network storage,
-an RDMA key-value store, and ring collectives."""
+and an RDMA key-value store (collectives live in :mod:`repro.collectives`)."""
 
-from .collective import RingMember, build_ring
 from .kvstore import FailoverKvClient, KvClient, KvServer
 from .pingpong import (RttResult, qpip_reliable_rtt, qpip_tcp_rtt,
                        qpip_udp_rtt, socket_tcp_rtt, socket_udp_rtt)
 from .ttcp import ThroughputResult, qpip_ttcp, qpip_ttcp_reliable, socket_ttcp
 
 __all__ = [
-    "RingMember", "build_ring", "KvClient", "KvServer", "FailoverKvClient",
+    "KvClient", "KvServer", "FailoverKvClient",
     "RttResult", "qpip_tcp_rtt", "qpip_udp_rtt", "socket_tcp_rtt",
     "socket_udp_rtt", "qpip_reliable_rtt",
     "ThroughputResult", "qpip_ttcp", "qpip_ttcp_reliable", "socket_ttcp",

@@ -19,60 +19,38 @@ merged run is bit-for-bit the single-process run.
 
 Workers run either in-process (``processes=False``: same algorithm, one
 OS process — the mode unit tests exercise) or as forked worker processes
-connected by pipes.  Worker crashes propagate: the traceback is shipped
-back and re-raised here as :class:`ClusterError`.
+(:class:`repro.proc.Worker`) connected by pipes.  Worker crashes
+propagate: the traceback is shipped back and re-raised here as
+:class:`ClusterError`.
 """
 
 from __future__ import annotations
 
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from .. import proc
 from ..tools.inspect import merge_metrics_dumps
 from .partition import lookahead, partition_blueprint
 from .shard import ClusterError, ShardWorker, TrunkMsg
 from .spec import ClusterSpec
 
-#: Forked-worker shutdown: grace period for a clean exit, then the
-#: terminate/kill escalation ladder gets the same again per rung.
-SHUTDOWN_GRACE_S = 5.0
 
-
-class WorkerDied(ClusterError):
-    """A forked shard worker exited without reporting a result.
-
-    Distinguishes the *process-death* failure (crash, OOM kill, operator
-    SIGTERM/SIGKILL) from an in-worker exception (plain
-    :class:`ClusterError` carrying the shipped traceback).  ``signal``
-    is the POSIX signal name when the worker died to one, else ``None``.
-    """
+class WorkerDied(ClusterError, proc.WorkerDied):
+    """A forked shard worker exited without reporting (crash, OOM kill,
+    operator signal) — unlike an in-worker exception, which is a plain
+    :class:`ClusterError` carrying the shipped traceback."""
 
     def __init__(self, shard_id: int, exitcode):
-        sig = None
-        if isinstance(exitcode, int) and exitcode < 0:
-            import signal as _signal
-            try:
-                sig = _signal.Signals(-exitcode).name
-            except ValueError:  # pragma: no cover - unknown signal
-                sig = f"signal {-exitcode}"
-        detail = f"killed by {sig}" if sig else f"exitcode={exitcode}"
-        super().__init__(
-            f"shard {shard_id}: worker died without reporting ({detail})")
+        proc.WorkerDied.__init__(self, exitcode, f"shard {shard_id}: worker")
         self.shard_id = shard_id
-        self.exitcode = exitcode
-        self.signal = sig
 
 
-class WorkerHung(ClusterError):
-    """A forked shard worker stopped responding.
-
-    Carries the shard id and the last sync window end the worker
-    acknowledged — the point up to which its results are known good.
-    Raised when a step reply does not arrive within ``step_timeout``, or
-    when shutdown had to escalate past a clean join.
-    """
+class WorkerHung(ClusterError, proc.WorkerHung):
+    """A forked shard worker missed :data:`repro.proc.REPLY_TIMEOUT_S`,
+    or needed killing after a clean run.  ``last_window`` is the last
+    sync window end it acknowledged: its results are good up to there."""
 
     def __init__(self, shard_id: int, last_window: float, detail: str):
         super().__init__(
@@ -128,71 +106,55 @@ class _InProcessHandle:
     def recv_result(self) -> dict:
         return self._result
 
-    def close(self) -> None:
-        pass
+    def close(self) -> bool:
+        return False
+
+    kill = close
 
 
 def _worker_main(conn, spec: ClusterSpec, shard_id: int,
                  num_shards: int) -> None:  # pragma: no cover - child process
     """Forked worker body: a step/finish loop over one pipe."""
-    try:
-        worker = ShardWorker(spec, shard_id, num_shards)
-        conn.send(("ready", worker.next_time()))
-        while True:
-            msg = conn.recv()
-            if msg[0] == "step":
-                conn.send(("state",) + worker.step(msg[1], msg[2]))
-            elif msg[0] == "finish":
-                conn.send(("result", worker.finish()))
-                return
-            else:
-                raise ClusterError(f"unknown command {msg[0]!r}")
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        conn.close()
+    worker = ShardWorker(spec, shard_id, num_shards)
+    conn.send(("ready", worker.next_time()))
+    while True:
+        msg = conn.recv()
+        if msg[0] == "step":
+            conn.send(("state",) + worker.step(msg[1], msg[2]))
+        elif msg[0] == "finish":
+            conn.send(("result", worker.finish()))
+            return
+        else:
+            raise ClusterError(f"unknown command {msg[0]!r}")
 
 
-class _ProcessHandle:
+class _ProcessHandle(proc.Worker):
     """Worker in a forked process; windows across shards overlap."""
 
-    def __init__(self, spec: ClusterSpec, shard_id: int, num_shards: int,
-                 step_timeout: Optional[float] = None):
-        import multiprocessing as mp
+    def __init__(self, spec: ClusterSpec, shard_id: int, num_shards: int):
         self.shard_id = shard_id
-        self.step_timeout = step_timeout
         #: Last sync window end this worker acknowledged (``-inf`` until
         #: the first "state" reply) — shipped inside :class:`WorkerHung`.
         self.last_window = float("-inf")
         self._sent_window = float("-inf")
-        self.escalated = False
-        ctx = mp.get_context("fork")
-        self._conn, child = ctx.Pipe()
-        self._proc = ctx.Process(target=_worker_main,
-                                 args=(child, spec, shard_id, num_shards),
-                                 daemon=True)
-        self._proc.start()
-        child.close()
+        super().__init__(_worker_main, spec, shard_id, num_shards,
+                         name=f"shard {shard_id}: worker")
+
+    def _died(self) -> WorkerDied:
+        # Every pipe failure, on send or recv, names the shard.
+        return WorkerDied(self.shard_id, super()._died().exitcode)
 
     def _recv(self, want: str):
-        if self.step_timeout is not None and \
-                not self._conn.poll(self.step_timeout):
+        try:
+            msg = self.recv(proc.REPLY_TIMEOUT_S)
+        except proc.WorkerHung:
             raise WorkerHung(
                 self.shard_id, self.last_window,
-                f"awaiting {want!r} after {self.step_timeout:g}s")
-        try:
-            msg = self._conn.recv()
-        except (EOFError, ConnectionResetError):
-            # EOF when the pipe drained first; ECONNRESET when the kill
-            # landed while we were mid-read.  Same fact either way.
-            self._proc.join(timeout=SHUTDOWN_GRACE_S)
-            raise WorkerDied(self.shard_id, self._proc.exitcode) from None
-        if msg[0] == "error":
+                f"awaiting {want!r} after {proc.REPLY_TIMEOUT_S:g}s") \
+                from None
+        except proc.WorkerError as exc:
             raise ClusterError(
-                f"shard {self.shard_id} crashed:\n{msg[1]}")
+                f"shard {self.shard_id} crashed:\n{exc.text}") from None
         if msg[0] != want:
             raise ClusterError(
                 f"shard {self.shard_id}: expected {want!r}, got {msg[0]!r}")
@@ -201,18 +163,9 @@ class _ProcessHandle:
     def start(self) -> float:
         return self._recv("ready")[0]
 
-    def _send(self, msg) -> None:
-        try:
-            self._conn.send(msg)
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            # A kill lands mid-write just as easily as mid-read; same
-            # fact as the _recv EOF, same typed error.
-            self._proc.join(timeout=SHUTDOWN_GRACE_S)
-            raise WorkerDied(self.shard_id, self._proc.exitcode) from None
-
     def send_step(self, until: float, msgs: List[TrunkMsg]) -> None:
         self._sent_window = until
-        self._send(("step", until, msgs))
+        self.send(("step", until, msgs))
 
     def recv_state(self):
         state = self._recv("state")
@@ -220,41 +173,20 @@ class _ProcessHandle:
         return state
 
     def send_finish(self) -> None:
-        self._send(("finish",))
+        self.send(("finish",))
 
     def recv_result(self) -> dict:
         return self._recv("result")[0]
-
-    def close(self) -> None:
-        """Shut the worker down, escalating if it will not die.
-
-        Grace join → SIGTERM → grace join → SIGKILL → join.  Sets
-        ``escalated`` when the clean join was not enough, so the runner
-        can turn a leaked-process situation into a loud
-        :class:`WorkerHung` instead of hiding it.
-        """
-        self._conn.close()
-        deadline = time.monotonic() + SHUTDOWN_GRACE_S
-        self._proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        if self._proc.is_alive():
-            self.escalated = True
-            self._proc.terminate()
-            self._proc.join(timeout=SHUTDOWN_GRACE_S)
-            if self._proc.is_alive():  # pragma: no cover - defensive
-                self._proc.kill()
-                self._proc.join()
 
 
 class ClusterRunner:
     """Partition, spawn, synchronize, merge."""
 
     def __init__(self, spec: ClusterSpec, num_workers: int,
-                 processes: bool = False,
-                 step_timeout: Optional[float] = None):
+                 processes: bool = False):
         self.spec = spec
         self.num_workers = num_workers
         self.processes = processes
-        self.step_timeout = step_timeout
         #: Live worker handles while :meth:`run` executes (the serve
         #: supervisor's signal tests and operators introspect pids here).
         self.handles: List = []
@@ -264,30 +196,23 @@ class ClusterRunner:
         self._bp = bp
 
     def run(self) -> ClusterResult:
-        spec = self.spec
-        if self.processes:
-            handles = [_ProcessHandle(spec, i, self.num_workers,
-                                      step_timeout=self.step_timeout)
-                       for i in range(self.num_workers)]
-        else:
-            handles = [_InProcessHandle(spec, i, self.num_workers)
-                       for i in range(self.num_workers)]
-        self.handles = handles
-        failed = True
+        handle = _ProcessHandle if self.processes else _InProcessHandle
+        self.handles = handles = []
         try:
+            for i in range(self.num_workers):
+                handles.append(handle(self.spec, i, self.num_workers))
             result = self._drive(handles)
-            failed = False
-        finally:
+        except BaseException:
             for h in handles:
-                h.close()
-        # A worker that needed terminate/kill after a *clean* run is a
-        # wedged shard: fail loudly rather than silently reap it.  (After
-        # an error the original exception already tells the story.)
-        if not failed:
-            for h in handles:
-                if getattr(h, "escalated", False):
-                    raise WorkerHung(h.shard_id, h.last_window,
-                                     "at shutdown; terminate/kill needed")
+                h.kill()
+            raise
+        # A worker that needed killing after a *clean* run is a wedged
+        # shard: fail loudly rather than silently reap it.
+        escalated = [h for h in handles if h.close()]
+        if escalated:
+            h = escalated[0]
+            raise WorkerHung(h.shard_id, h.last_window,
+                             "at shutdown; terminate/kill needed")
         return result
 
     def _shard_of_trunk_side(self, trunk: int, to_b: bool) -> int:
@@ -374,12 +299,10 @@ def run_single(spec: ClusterSpec) -> ClusterResult:
 
 
 def run_cluster(spec: ClusterSpec, num_workers: int,
-                processes: bool = False,
-                step_timeout: Optional[float] = None) -> ClusterResult:
+                processes: bool = False) -> ClusterResult:
     if num_workers == 1 and not processes:
         return run_single(spec)
-    return ClusterRunner(spec, num_workers, processes=processes,
-                         step_timeout=step_timeout).run()
+    return ClusterRunner(spec, num_workers, processes=processes).run()
 
 
 def assert_equivalent(oracle: ClusterResult, sharded: ClusterResult) -> None:

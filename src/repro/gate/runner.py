@@ -16,16 +16,13 @@ is the reference; every other is required bit-for-bit identical via
 from __future__ import annotations
 
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
+from .. import proc
 from ..cluster import assert_equivalent, run_cluster
 from .digest import evaluate_invariants, scenario_digests
 from .spec import ScenarioSpec
-
-#: Post-deadline shutdown ladder: SIGTERM, wait this long, then SIGKILL.
-KILL_GRACE_S = 2.0
 
 
 @dataclass
@@ -81,80 +78,21 @@ def run_scenario(spec: ScenarioSpec) -> Dict:
     }
 
 
-def _scenario_child(conn, spec: ScenarioSpec) -> None:
-    """Forked child body: run, report, exit."""
+def _reap(spec: ScenarioSpec, worker: proc.Worker) -> ScenarioOutcome:
+    """Collect a child's report (its pipe is readable)."""
     try:
-        conn.send(("done", run_scenario(spec)))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):  # pragma: no cover - defensive
-            pass
-    finally:
-        conn.close()
-
-
-class _Job:
-    """One in-flight scenario child."""
-
-    def __init__(self, spec: ScenarioSpec):
-        import multiprocessing as mp
-        ctx = mp.get_context("fork")
-        self.spec = spec
-        self.t0 = time.monotonic()
-        self.deadline = self.t0 + spec.timeout_s
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_scenario_child,
-                                args=(child, spec), daemon=True)
-        self.proc.start()
-        child.close()
-
-    def wall(self) -> float:
-        return time.monotonic() - self.t0
-
-    def reap(self) -> ScenarioOutcome:
-        """Collect the child's report (its pipe is readable)."""
-        name = self.spec.name
-        try:
-            msg = self.conn.recv()
-        except EOFError:
-            self.proc.join(timeout=KILL_GRACE_S)
-            return ScenarioFailed(
-                name, "crashed",
-                f"scenario worker died without reporting "
-                f"(exitcode={self.proc.exitcode})", self.wall())
-        if msg[0] == "error":
-            return ScenarioFailed(name, "error", msg[1], self.wall())
-        payload = msg[1]
-        if payload["violations"]:
-            return ScenarioFailed(
-                name, "invariant_failed",
-                "\n".join(payload["violations"]), self.wall(),
-                digests=payload["digests"])
-        return ScenarioPassed(name, self.wall(), payload["workers"],
-                              payload["digests"])
-
-    def kill(self) -> ScenarioOutcome:
-        """Deadline exceeded: terminate, escalate to SIGKILL, report."""
-        self.proc.terminate()
-        self.proc.join(timeout=KILL_GRACE_S)
-        if self.proc.is_alive():  # pragma: no cover - defensive
-            self.proc.kill()
-            self.proc.join()
+        payload = worker.recv()[1]
+    except proc.WorkerDied as exc:
+        return ScenarioFailed(spec.name, "crashed", str(exc), worker.wall())
+    except proc.WorkerError as exc:
+        return ScenarioFailed(spec.name, "error", exc.text, worker.wall())
+    if payload["violations"]:
         return ScenarioFailed(
-            self.spec.name, "timeout",
-            f"exceeded wall-clock cap of {self.spec.timeout_s:g}s; "
-            f"worker terminated", self.wall())
-
-    def close(self) -> None:
-        self.conn.close()
-        self.proc.join(timeout=KILL_GRACE_S)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=KILL_GRACE_S)
-            if self.proc.is_alive():  # pragma: no cover - defensive
-                self.proc.kill()
-                self.proc.join()
+            spec.name, "invariant_failed",
+            "\n".join(payload["violations"]), worker.wall(),
+            digests=payload["digests"])
+    return ScenarioPassed(spec.name, worker.wall(), payload["workers"],
+                          payload["digests"])
 
 
 def run_corpus(scenarios: List[ScenarioSpec], jobs: int = 1,
@@ -164,33 +102,38 @@ def run_corpus(scenarios: List[ScenarioSpec], jobs: int = 1,
     Results come back in corpus order regardless of completion order.
     ``progress`` (optional callable) receives each outcome as it lands.
     """
-    from multiprocessing.connection import wait as conn_wait
     jobs = max(1, jobs)
     queue = list(scenarios)
-    running: List[_Job] = []
+    running: Dict[proc.Worker, ScenarioSpec] = {}
     outcomes: Dict[str, ScenarioOutcome] = {}
-
-    def settle(job: _Job, outcome: ScenarioOutcome) -> None:
-        outcomes[job.spec.name] = outcome
-        job.close()
-        running.remove(job)
-        if progress is not None:
-            progress(outcome)
-
     try:
         while queue or running:
             while queue and len(running) < jobs:
-                running.append(_Job(queue.pop(0)))
-            next_deadline = min(j.deadline for j in running)
-            timeout = max(0.0, min(next_deadline - time.monotonic(), 1.0))
-            ready = conn_wait([j.conn for j in running], timeout=timeout)
+                spec = queue.pop(0)
+                running[proc.Worker(proc.reply, run_scenario, spec,
+                                    name="scenario worker")] = spec
+            next_deadline = min(w.started + s.timeout_s
+                                for w, s in running.items())
+            ready = proc.wait(running,
+                              max(0.0, next_deadline - time.monotonic()))
             now = time.monotonic()
-            for job in list(running):
-                if job.conn in ready:
-                    settle(job, job.reap())
-                elif now >= job.deadline:
-                    settle(job, job.kill())
+            for worker, spec in list(running.items()):
+                if worker in ready:
+                    outcome = _reap(spec, worker)
+                    worker.close()
+                elif now >= worker.started + spec.timeout_s:
+                    worker.kill()
+                    outcome = ScenarioFailed(
+                        spec.name, "timeout",
+                        f"exceeded wall-clock cap of {spec.timeout_s:g}s; "
+                        f"worker terminated", worker.wall())
+                else:
+                    continue
+                del running[worker]
+                outcomes[spec.name] = outcome
+                if progress is not None:
+                    progress(outcome)
     finally:
-        for job in list(running):  # pragma: no cover - error path
-            job.close()
+        for worker in running:
+            worker.kill()
     return [outcomes[s.name] for s in scenarios]

@@ -30,14 +30,14 @@ from .job import (DONE, FAILED, INTERRUPTED, QUARANTINED, QUEUED, RUNNING,
 from .loadgen import calibrate, render_loadgen, run_loadgen
 from .server import ReproServer
 from .store import JobStore, read_journal
-from .supervisor import Supervisor, WorkerAttempt, exec_scenario
+from .supervisor import Supervisor, exec_scenario
 
 __all__ = [
     "Job", "ServeConfig", "job_error",
     "QUEUED", "RUNNING", "DONE", "FAILED", "QUARANTINED", "INTERRUPTED",
     "JobStore", "read_journal",
     "AdmissionQueue",
-    "Supervisor", "WorkerAttempt", "exec_scenario",
+    "Supervisor", "exec_scenario",
     "ReproServer",
     "ServeClient", "ServeUnavailable", "JobTimeout",
     "run_loadgen", "calibrate", "render_loadgen",

@@ -98,11 +98,6 @@ class AdmissionQueue:
         with self._lock:
             return self._queue.popleft() if self._queue else None
 
-    def push_front(self, job: Job) -> None:
-        """Put a job back at the head (dispatch could not start it)."""
-        with self._lock:
-            self._queue.appendleft(job)
-
     def release_client(self, client: str) -> None:
         """A job of ``client`` reached a terminal state."""
         with self._lock:

@@ -264,6 +264,7 @@ class ReproServer:
                         {"Retry-After": str(retry)})
             self.store.submit(job)
             self.queue.restore(job)
+            self.supervisor.notify()
             self.metrics.counter("serve.accepted").add()
             return 202, {"ok": True, "job": job.to_dict()}, {}
 

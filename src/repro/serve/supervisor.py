@@ -1,10 +1,11 @@
 """The supervisor: forked job attempts, restarts, backoff, quarantine.
 
-Each job attempt runs in its own forked worker process (the same
-crash-isolation machinery as :mod:`repro.gate`'s corpus runner and
-:class:`repro.cluster.ClusterRunner`'s shard workers) so a crashing or
-wedging scenario can never take the service down.  The supervisor
-watches every attempt's pipe and deadline and applies, in order:
+Each job attempt runs in its own forked worker process (a
+:class:`repro.proc.Worker`, like the gate's scenario children and the
+cluster's shard workers) so a crashing or wedging scenario can never
+take the service down.  The supervisor sleeps in :func:`repro.proc.wait`
+until an attempt reports or dies, something falls due (a deadline, a
+retry, a snapshot) or an admission wakes it, and applies, in order:
 
 * **worker death** (SIGKILL, segfault, OOM) → the scenario's circuit
   breaker (:class:`repro.recovery.CircuitBreaker` on a wall-clock shim)
@@ -32,10 +33,10 @@ import heapq
 import random
 import threading
 import time
-import traceback
 from typing import Dict, List, Optional, Tuple
 
-from ..gate.runner import KILL_GRACE_S, run_scenario
+from .. import proc
+from ..gate.runner import run_scenario
 from ..gate.spec import ScenarioSpec
 from ..recovery.breaker import BreakerState, CircuitBreaker
 from ..recovery.policy import RetryPolicy
@@ -45,74 +46,10 @@ from .job import (DONE, FAILED, INTERRUPTED, QUARANTINED, QUEUED, RUNNING,
 from .store import JobStore
 
 
-def _death_detail(exitcode) -> str:
-    """Render an exit status the way :class:`~repro.cluster.WorkerDied`
-    does: name the killing signal when there was one."""
-    if isinstance(exitcode, int) and exitcode < 0:
-        import signal as _signal
-        try:
-            return f"killed by {_signal.Signals(-exitcode).name}"
-        except ValueError:  # pragma: no cover - unknown signal
-            return f"killed by signal {-exitcode}"
-    return f"exitcode={exitcode}"
-
-
 def exec_scenario(spec_dict: Dict) -> Dict:
     """The default executor: validate and run one scenario in-process
     (the gate's single-scenario entry point), returning its bundle."""
     return run_scenario(ScenarioSpec.from_dict(spec_dict))
-
-
-def _attempt_child(conn, spec_dict: Dict, executor) -> None:
-    """Forked attempt body: run, report, exit."""
-    try:
-        conn.send(("done", executor(spec_dict)))
-    except BaseException as exc:
-        try:
-            conn.send(("error", type(exc).__name__,
-                       f"{exc}\n{traceback.format_exc(limit=8)}"))
-        except (BrokenPipeError, OSError):  # pragma: no cover - defensive
-            pass
-    finally:
-        conn.close()
-
-
-class WorkerAttempt:
-    """One forked execution attempt of one job."""
-
-    def __init__(self, job: Job, executor):
-        import multiprocessing as mp
-        ctx = mp.get_context("fork")
-        self.job = job
-        self.t0 = time.monotonic()
-        self.deadline = self.t0 + job.timeout_s
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_attempt_child,
-                                args=(child, job.spec, executor),
-                                daemon=True)
-        self.proc.start()
-        child.close()
-
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
-
-    def wall(self) -> float:
-        return time.monotonic() - self.t0
-
-    def kill(self) -> None:
-        """Terminate → grace → SIGKILL → join: the attempt WILL die."""
-        self.proc.terminate()
-        self.proc.join(timeout=KILL_GRACE_S)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join()
-
-    def close(self) -> None:
-        self.conn.close()
-        self.proc.join(timeout=KILL_GRACE_S)
-        if self.proc.is_alive():  # pragma: no cover - defensive
-            self.kill()
 
 
 class _WallClockUs:
@@ -144,11 +81,11 @@ class Supervisor:
         self._clock = _WallClockUs()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._delays: Dict[str, object] = {}      # job id -> delay iter
-        self._running: Dict[object, WorkerAttempt] = {}  # conn -> attempt
+        self._running: Dict[proc.Worker, Job] = {}
         self._retries: List[Tuple[float, int, Job]] = []  # (due, n, job)
         self._retry_n = 0
-        self._stop = threading.Event()
-        self._frozen = False
+        self._wake = proc.Wake()
+        self._stop = False
         self._draining = False
         self._last_snapshot = time.monotonic()
         self._thread: Optional[threading.Thread] = None
@@ -161,11 +98,12 @@ class Supervisor:
                                         daemon=True)
         self._thread.start()
 
-    def running_jobs(self) -> List[Job]:
-        return [a.job for a in list(self._running.values())]
+    def notify(self) -> None:
+        """A job was admitted: wake the loop to dispatch it now."""
+        self._wake.set()
 
     def worker_pids(self) -> List[int]:
-        return [a.pid for a in list(self._running.values())]
+        return [w.pid for w in list(self._running)]
 
     def breaker(self, scenario: str) -> CircuitBreaker:
         b = self._breakers.get(scenario)
@@ -186,21 +124,19 @@ class Supervisor:
                      if timeout_s is None else timeout_s)
         self._draining = True
         self.queue.close()
-        deadline = time.monotonic() + timeout_s
-        while self._running and time.monotonic() < deadline:
-            time.sleep(0.02)
-        self._stop.set()
+        self._wake.set()
         if self._thread is not None:
-            self._thread.join(timeout=timeout_s + KILL_GRACE_S * 2)
-        stragglers = list(self._running.values())
-        for attempt in stragglers:
-            attempt.kill()
+            # The loop returns by itself once nothing is running or due.
+            self._thread.join(timeout_s)
+            self._halt()
+        stragglers = list(self._running.items())
+        for worker, job in stragglers:
+            worker.kill()
             self._finish(
-                attempt.job, INTERRUPTED,
+                job, INTERRUPTED,
                 error=job_error("drain_timeout",
                                 f"still running after the "
                                 f"{timeout_s:g}s drain window"))
-            attempt.close()
         self._running.clear()
         self.store.snapshot()
         return len(stragglers)
@@ -209,53 +145,48 @@ class Supervisor:
         """The in-process stand-in for SIGKILLing the whole server
         (tests): stop supervising *without* any further journal writes,
         then kill the orphan-to-be workers."""
-        self._frozen = True
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=KILL_GRACE_S * 4)
-        for attempt in self._running.values():
-            attempt.proc.kill()
-            attempt.proc.join()
-            attempt.conn.close()
+        self._halt()
+        for worker in self._running:
+            worker.kill()
         self._running.clear()
+
+    def _halt(self) -> None:
+        """Stop the loop before its next state transition and join it."""
+        self._stop = True
+        self._wake.set()
+        if self._thread is not None:
+            self._thread.join(proc.GRACE_S * 3)
 
     # -- the supervision loop --------------------------------------------
 
     def _loop(self) -> None:
-        from multiprocessing.connection import wait as conn_wait
-        while not self._stop.is_set():
-            if self._frozen:
-                return
+        while not self._stop:
             self._dispatch()
-            timeout = self._tick_timeout()
-            conns = list(self._running)
-            if conns:
-                ready = set(conn_wait(conns, timeout=timeout))
-            else:
-                time.sleep(timeout)
-                ready = set()
-            if self._frozen:
+            if self._draining and not self._running:
+                return
+            ready = proc.wait(self._running, self._timeout(), self._wake)
+            if self._stop:
                 return
             now = time.monotonic()
-            for conn, attempt in list(self._running.items()):
-                if conn in ready:
-                    self._reap(attempt)
-                elif now >= attempt.deadline:
-                    self._wedged(attempt)
+            for worker, job in list(self._running.items()):
+                if worker in ready:
+                    self._reap(worker)
+                elif now >= worker.started + job.timeout_s:
+                    self._wedged(worker)
             self._gauges()
-            if (time.monotonic() - self._last_snapshot
-                    >= self.config.snapshot_interval_s):
+            if now >= self._last_snapshot + self.config.snapshot_interval_s:
                 self.store.snapshot()
                 self._last_snapshot = time.monotonic()
 
-    def _tick_timeout(self) -> float:
-        timeout = 0.05
-        now = time.monotonic()
-        for attempt in self._running.values():
-            timeout = min(timeout, attempt.deadline - now)
-        if self._retries:
-            timeout = min(timeout, self._retries[0][0] - now)
-        return max(0.005, timeout)
+    def _timeout(self) -> float:
+        """Seconds until something is due: an attempt deadline, the next
+        snapshot, or — while a pool slot is free — the earliest retry.
+        Admission, drain and stop end the wait early via the wake pipe."""
+        due = [w.started + job.timeout_s for w, job in self._running.items()]
+        due.append(self._last_snapshot + self.config.snapshot_interval_s)
+        if self._retries and len(self._running) < self.config.pool_size:
+            due.append(self._retries[0][0])
+        return max(0.0, min(due) - time.monotonic())
 
     def _due_retry(self) -> Optional[Job]:
         if self._retries and self._retries[0][0] <= time.monotonic():
@@ -279,58 +210,46 @@ class Supervisor:
                     f"{b.cooldown_remaining / 1e6:.1f}s remains"))
                 continue
             job.attempts += 1
-            attempt = WorkerAttempt(job, self.executor)
+            worker = proc.Worker(proc.reply, self.executor, job.spec)
             self.store.transition(
                 job.id, RUNNING, attempts=job.attempts,
-                started_at=time.time(), worker_pid=attempt.pid)
-            self._running[attempt.conn] = attempt
+                started_at=time.time(), worker_pid=worker.pid)
+            self._running[worker] = job
             if job.attempts == 1:
                 self.metrics.histogram("serve.wait_s").add(
                     max(0.0, time.time() - job.submitted_at))
 
-    def _reap(self, attempt: WorkerAttempt) -> None:
-        job = attempt.job
+    def _reap(self, worker: proc.Worker) -> None:
+        job = self._running[worker]
         try:
-            msg = attempt.conn.recv()
-        except (EOFError, ConnectionResetError):
-            # Join first: before it, exitcode can still read None even
-            # though the process is dead (the pipe EOF races the wait).
-            attempt.proc.join(timeout=KILL_GRACE_S)
-            self._attempt_died(
-                attempt, f"worker died without reporting "
-                         f"({_death_detail(attempt.proc.exitcode)})",
-                wedged=False)
+            result = worker.recv()[1]
+        except proc.WorkerDied as exc:
+            self._attempt_died(worker, str(exc))
             return
-        del self._running[attempt.conn]
-        attempt.close()
-        self.breaker(job.scenario).record_success()
-        self.queue.note_service_time(attempt.wall())
-        if msg[0] == "done":
-            result = msg[1]
+        except proc.WorkerError as exc:     # deterministic: no retry
+            result, error = None, job_error(exc.kind, exc.text)
+        else:
             violations = (result or {}).get("violations")
-            if violations:
-                self._finish(job, FAILED, result=result,
-                             error=job_error("invariant_failed",
-                                             "; ".join(violations)))
-            else:
-                self._finish(job, DONE, result=result)
-        else:   # ("error", kind, message): deterministic, no retry
-            self._finish(job, FAILED,
-                         error=job_error(msg[1], msg[2]))
+            error = (job_error("invariant_failed", "; ".join(violations))
+                     if violations else None)
+        del self._running[worker]
+        worker.close()
+        self.breaker(job.scenario).record_success()
+        self.queue.note_service_time(worker.wall())
+        self._finish(job, FAILED if error else DONE, result=result,
+                     error=error)
 
-    def _wedged(self, attempt: WorkerAttempt) -> None:
-        attempt.kill()
+    def _wedged(self, worker: proc.Worker) -> None:
+        worker.kill()
         self.metrics.counter("serve.worker_wedged").add()
         self._attempt_died(
-            attempt,
-            f"wedged: exceeded the {attempt.job.timeout_s:g}s attempt "
-            f"deadline; terminated", wedged=True)
+            worker,
+            f"wedged: exceeded the {self._running[worker].timeout_s:g}s "
+            f"attempt deadline; terminated")
 
-    def _attempt_died(self, attempt: WorkerAttempt, detail: str,
-                      wedged: bool) -> None:
-        job = attempt.job
-        del self._running[attempt.conn]
-        attempt.close()
+    def _attempt_died(self, worker: proc.Worker, detail: str) -> None:
+        job = self._running.pop(worker)
+        worker.close()
         self.metrics.counter("serve.worker_deaths").add()
         breaker = self.breaker(job.scenario)
         breaker.record_failure()

@@ -276,7 +276,7 @@ class TestSignalShutdown:
         handle = self._handle()
         try:
             handle.start()                     # worker is up and idle
-            os.kill(handle._proc.pid, getattr(_signal, signame))
+            os.kill(handle.pid, getattr(_signal, signame))
             with pytest.raises(WorkerDied) as err:
                 handle.recv_state()
             assert err.value.shard_id == 0
@@ -284,9 +284,10 @@ class TestSignalShutdown:
             assert signame in str(err.value)
             assert err.value.exitcode == -getattr(_signal, signame)
         finally:
-            handle.close()
-        assert not handle._proc.is_alive()     # reaped, not orphaned
-        assert not handle.escalated            # it was already dead
+            escalated = handle.close()
+        assert not escalated                   # it was already dead
+        with pytest.raises(ProcessLookupError):    # reaped, not orphaned
+            os.kill(handle.pid, 0)
 
     def test_killed_worker_mid_run_fails_whole_run_and_reaps_all(self):
         import os
@@ -315,7 +316,7 @@ class TestSignalShutdown:
         while time.monotonic() < deadline and not runner.handles:
             time.sleep(0.005)
         assert runner.handles, "run() never spawned workers"
-        victim = runner.handles[0]._proc.pid
+        victim = runner.handles[0].pid
         os.kill(victim, _signal.SIGKILL)
         thread.join(timeout=30)
         assert not thread.is_alive()
@@ -324,13 +325,12 @@ class TestSignalShutdown:
         assert failures[0].signal == "SIGKILL"
         # every worker (victim and survivors) was reaped on the way out
         for handle in runner.handles:
-            assert not handle._proc.is_alive()
             with pytest.raises(ProcessLookupError):
-                os.kill(handle._proc.pid, 0)
+                os.kill(handle.pid, 0)
 
     def test_sigint_of_in_process_run_leaves_no_children(self):
         """KeyboardInterrupt (the SIGINT path) during a forked run still
-        walks the close() ladder for every handle."""
+        kills and reaps every handle."""
         import multiprocessing
         from repro.cluster.runner import ClusterRunner
         before = multiprocessing.active_children()

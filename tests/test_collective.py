@@ -1,9 +1,18 @@
-"""Tests for the ring collectives (allreduce, barrier) over QPIP."""
+"""Host-engine ring collectives over QPIP, driven rank by rank.
+
+``test_collectives.py`` pins the engines against each other and the
+oracle; this file drives :class:`HostCollectiveMember` directly on a
+one-switch cluster for what a single op cannot show — repeated ops on
+the same links, ring-size scaling, per-rank accounting, and a barrier
+that really holds early arrivals back.
+"""
 
 import pytest
 
-from repro.apps.collective import (RingMember, build_ring, _pack, _unpack)
 from repro.bench.configs import build_qpip_cluster
+from repro.collectives import (ELEM, HEADER_SIZE, CollectiveWorkSpec,
+                               HostCollectiveMember)
+from repro.collectives.group import pack_vector, unpack_vector
 from repro.sim import Simulator
 
 
@@ -12,19 +21,18 @@ def sim():
     return Simulator()
 
 
-def run_ring(sim, n, body_factory, until=120_000_000):
-    """Build an n-rank ring, run setup + body on every rank."""
-    nodes, fabric = build_qpip_cluster(sim, n)
-    ring = build_ring(nodes)
+def run_ring(sim, n, body_factory, algo="allreduce", until=120_000_000):
+    """Wire an n-rank host-engine ring, then run ``body`` on every rank."""
+    nodes, _fabric = build_qpip_cluster(sim, n)
+    addrs = [node.addr for node in nodes]
+    spec = CollectiveWorkSpec(engine="host", algo=algo)
+    ring = [HostCollectiveMember(node, rank, addrs, spec)
+            for rank, node in enumerate(nodes)]
     results = {}
 
     def rank_proc(member):
         yield from member.setup()
-        # Wait until every rank is wired before starting the collective.
-        for other in ring:
-            yield other._ready
-        result = yield from body_factory(member)
-        results[member.rank] = result
+        results[member.rank] = yield from body_factory(member)
 
     procs = [sim.process(rank_proc(m)) for m in ring]
     sim.run(until=sim.now + until)
@@ -38,7 +46,7 @@ def run_ring(sim, n, body_factory, until=120_000_000):
 class TestCodec:
     def test_pack_unpack(self):
         values = [0.0, 1.5, -3.25, 1e12]
-        assert _unpack(_pack(values)) == values
+        assert unpack_vector(pack_vector(values)) == values
 
 
 class TestAllreduce:
@@ -47,7 +55,7 @@ class TestAllreduce:
 
         def body(member):
             vec = [float(member.rank + 1)] * 8
-            out = yield from member.allreduce(vec)
+            out = yield from member.run(vec)
             return out
 
         ring, results = run_ring(sim, n, body)
@@ -58,14 +66,14 @@ class TestAllreduce:
     def test_all_ranks_agree(self, sim):
         def body(member):
             vec = [member.rank * 0.5, member.rank ** 2, 7.0]
-            return (yield from member.allreduce(vec))
+            return (yield from member.run(vec))
 
         _ring, results = run_ring(sim, 3, body)
         assert results[0] == results[1] == results[2]
 
     def test_two_ranks(self, sim):
         def body(member):
-            return (yield from member.allreduce([1.0, 2.0]))
+            return (yield from member.run([1.0, 2.0]))
 
         _ring, results = run_ring(sim, 2, body)
         assert results[0] == pytest.approx([2.0, 4.0])
@@ -74,7 +82,7 @@ class TestAllreduce:
         def body(member):
             outs = []
             for round_i in range(3):
-                out = yield from member.allreduce([float(round_i)] * 4)
+                out = yield from member.run([float(round_i)] * 4)
                 outs.append(out[0])
             return outs
 
@@ -86,19 +94,20 @@ class TestAllreduce:
         n = 4
 
         def body(member):
-            yield from member.allreduce([1.0] * 16)
+            yield from member.run([1.0] * 16)
             return member.stats
 
         _ring, results = run_ring(sim, n, body)
+        # reduce-scatter + allgather, one 4-element chunk frame per step
         for rank in range(n):
             stats = results[rank]
-            assert stats.steps == n - 1
-            assert stats.bytes_sent == (n - 1) * 16 * 8
+            assert stats.steps == 2 * (n - 1)
+            assert stats.bytes_sent == 2 * (n - 1) * (HEADER_SIZE + 4 * ELEM)
             assert stats.wall_time_us > 0
 
     def test_scales_with_ring_size(self, sim):
         def body(member):
-            yield from member.allreduce([1.0] * 8)
+            yield from member.run([1.0] * 8)
             return member.stats.wall_time_us
 
         _r, three = run_ring(sim, 3, body)
@@ -110,18 +119,19 @@ class TestAllreduce:
 
 class TestBarrier:
     def test_barrier_synchronizes(self, sim):
-        exit_times = {}
+        arrivals, exits = {}, {}
 
         def body(member):
             # Stagger arrival: rank r works for r*5 ms first.
             yield member.sim.timeout(member.rank * 5000)
-            yield from member.barrier()
-            exit_times[member.rank] = member.sim.now
+            arrivals[member.rank] = member.sim.now
+            yield from member.run()
+            exits[member.rank] = member.sim.now
             return True
 
-        run_ring(sim, 4, body)
-        times = sorted(exit_times.values())
-        # Nobody leaves the barrier before the slowest arrival (15 ms).
-        assert times[0] >= 15_000
+        run_ring(sim, 4, body, algo="barrier")
+        assert max(arrivals.values()) - min(arrivals.values()) > 10_000
+        # Nobody leaves the barrier before the slowest arrival.
+        assert min(exits.values()) >= max(arrivals.values())
         # Exits are tightly clustered (within one ring trip).
-        assert times[-1] - times[0] < 2_000
+        assert max(exits.values()) - min(exits.values()) < 2_000

@@ -181,6 +181,23 @@ class TestEnginesAgree:
                 assert rec["status"] == "SUCCESS", (engine, rank)
                 assert rec["stats"]["steps"] == 2
 
+    def test_nic_barrier_holds_early_arrivals(self, sim):
+        # Rank r reaches the barrier r*5 ms late; nobody may leave it
+        # before the last rank has arrived.  (The host engine wires its
+        # ring before any stagger; its case is in test_collective.py.)
+        world = 4
+        nodes, _fabric = build_qpip_cluster(sim, world)
+        records = [{} for _ in range(world)]
+        for rank in range(world):
+            spec = CollectiveWorkSpec(engine="nic", algo="barrier",
+                                      start=5000.0 * rank)
+            sim.process(collective_rank_driver(sim, nodes[rank], rank,
+                                               world, spec, records[rank]))
+        sim.run(until=60_000_000)
+        exits = [rec["done_at"] for rec in records]
+        assert min(exits) >= 5000.0 * (world - 1), exits
+        assert max(exits) - min(exits) < 2_000, exits
+
     def test_empty_vector_no_wire_traffic(self):
         runs = self._run_both(3, algo="allreduce", vector_len=0)
         for engine, records in runs.items():

@@ -21,6 +21,7 @@ import time
 import pytest
 
 from reference_paths import reference_paths
+from repro import proc
 from repro.cluster import (ClusterSpec, WorkerHung, incast_flows,
                            run_cluster, run_single)
 from repro.cluster.shard import ShardWorker
@@ -346,7 +347,7 @@ class TestCorpusIsolation:
         import repro.gate.runner as gr
         monkeypatch.setattr(gr, "run_scenario",
                             lambda spec: time.sleep(60))
-        monkeypatch.setattr(gr, "KILL_GRACE_S", 1.0)
+        monkeypatch.setattr(proc, "GRACE_S", 1.0)
         spec = _tiny_scenario(name="wedged", timeout_s=1.0)
         t0 = time.monotonic()
         outcomes = run_corpus([spec], jobs=1)
@@ -367,6 +368,7 @@ class TestCorpusIsolation:
         assert isinstance(outcome, ScenarioFailed)
         assert outcome.status == "crashed"
         assert "died without reporting" in outcome.detail
+        assert "SIGKILL" in outcome.detail
 
     def test_crash_is_isolated_from_the_rest_of_the_corpus(self,
                                                            monkeypatch):
@@ -405,7 +407,7 @@ class TestWorkerHung:
             flows=incast_flows(2, 8, total_bytes=8192, chunk=4096),
             horizon=5_000_000.0, seed=5)
 
-    def test_step_timeout_raises_worker_hung(self, monkeypatch):
+    def test_reply_deadline_raises_worker_hung(self, monkeypatch):
         real_step = ShardWorker.step
 
         def wedge(self, until, msgs):
@@ -415,11 +417,11 @@ class TestWorkerHung:
 
         # fork inherits the monkeypatch, so the child wedges too
         monkeypatch.setattr(ShardWorker, "step", wedge)
-        import repro.cluster.runner as cr
-        monkeypatch.setattr(cr, "SHUTDOWN_GRACE_S", 1.0)
+        monkeypatch.setattr(proc, "REPLY_TIMEOUT_S", 2.0)
+        monkeypatch.setattr(proc, "GRACE_S", 1.0)
         t0 = time.monotonic()
         with pytest.raises(WorkerHung) as exc:
-            run_cluster(self._spec(), 2, processes=True, step_timeout=2.0)
+            run_cluster(self._spec(), 2, processes=True)
         assert time.monotonic() - t0 < 25
         assert exc.value.shard_id == 1
         assert exc.value.last_window <= 2000.0
@@ -436,7 +438,7 @@ class TestWorkerHung:
         spec = self._spec()
         oracle = run_single(spec)
         from repro.cluster import assert_equivalent
-        sharded = run_cluster(spec, 2, processes=True, step_timeout=30.0)
+        sharded = run_cluster(spec, 2, processes=True)
         assert_equivalent(oracle, sharded)
 
 

@@ -290,14 +290,12 @@ class TestAdmissionQueue:
         assert q.retry_after_s() <= slow
         assert q.retry_after_s() >= 1   # clamp floor
 
-    def test_fifo_take_and_push_front(self):
+    def test_fifo_take(self):
         q = AdmissionQueue(max_queue=10, client_cap=10, pool_size=1)
         q.offer(self._job(1))
         q.offer(self._job(2))
-        first = q.take()
-        assert first.id == "j1"
-        q.push_front(first)
         assert q.take().id == "j1" and q.take().id == "j2"
+        assert q.take() is None
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +386,22 @@ class TestServeAPI:
         assert server._stopped
         # everything already submitted finished; nothing was orphaned
         assert server.store.get("j1").state == DONE
-        assert server.supervisor.running_jobs() == []
+        assert server.supervisor.worker_pids() == []
+
+    def test_idle_dispatch_is_event_driven(self, tmp_path):
+        """A job arriving at an idle pool is forked on admission, not
+        on the supervisor's next timer tick."""
+        server, client = _server(tmp_path, pool_size=1)
+        try:
+            for i in range(8):
+                job = _submit_ok(client, _spec_dict(), key=f"idle{i}")
+                assert client.wait(job["id"], timeout_s=20,
+                                   poll_s=0.005)["state"] == DONE
+        finally:
+            server.drain_and_stop(5)
+        wait_s = server.metrics.histogram("serve.wait_s")
+        assert wait_s.count == 8
+        assert wait_s.percentile(50) < 0.010
 
     def test_drain_kills_stragglers_as_interrupted(self, tmp_path):
         server, client = _server(tmp_path, pool_size=1)

@@ -1,17 +1,16 @@
 """Tables 2 & 3: per-stage network-interface processing occupancy.
 
 Measured with the simulated LANai cycle counter over a 1-byte TCP
-message stream, exactly as the paper instruments its prototype.  The
-stage costs are this model's calibrated inputs, so the check here is
-that the *instrumentation pipeline* reproduces them faithfully — every
-FSM stage runs where the paper says it runs, once per message.
+message stream, exactly as the paper instruments its prototype, and
+written to ``_output/tables2_3_occupancy.txt``.  The stage costs are
+this model's calibrated inputs; that every row matches the paper — each
+FSM stage runs where the paper says it runs — is asserted in tier-1 by
+``tests/test_misc.py::TestRunnersSmoke::test_occupancy_structure``.
 """
 
-import pytest
 from conftest import save_report
 
 from repro.bench import run_occupancy_tables
-from repro.bench.paper import TABLE2_TX, TABLE3_RX
 
 
 def _run():
@@ -21,18 +20,3 @@ def _run():
 def test_tables2_3_occupancy(benchmark):
     result = benchmark.pedantic(_run, rounds=1, iterations=1)
     save_report("tables2_3_occupancy", result.render())
-
-    # Transmit data path: every Table 2 stage observed at its cost.
-    for name, measured_data, paper_data, _ma, _pa in result.tx_rows:
-        if paper_data is not None and name != "Doorbell Process":
-            assert measured_data == pytest.approx(paper_data), name
-    # Receive data path (server side) likewise for Table 3.
-    for name, measured_data, paper_data, _ma, _pa in result.rx_rows:
-        if paper_data is not None:
-            assert measured_data == pytest.approx(paper_data), name
-    # The expensive ACK cases: software RTT-estimator multiplies (14 µs)
-    # and the WR/QP state update (9 µs).
-    tcp_parse = dict((r[0], r) for r in result.rx_rows)["TCP Parse"]
-    assert tcp_parse[3] == pytest.approx(14.0)
-    update = dict((r[0], r) for r in result.rx_rows)["Update"]
-    assert update[3] == pytest.approx(9.0)

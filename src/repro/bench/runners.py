@@ -20,6 +20,7 @@ from ..core import QPTransport
 from ..hoststack import TcpSocket, attach_loopback
 from ..hoststack.kernel import HostKernel
 from ..hw import Host, ib_class_timing, lanai_fw_checksum
+from ..hw.stages import TABLE2_PATHS, TABLE3_PATHS
 from ..net.addresses import Endpoint, IPv4Address
 from ..net.packet import ZeroPayload
 from ..sim import Simulator
@@ -28,7 +29,6 @@ from . import paper
 from .configs import build_gige_pair, build_gm_pair, build_qpip_pair
 from .report import compare, pct, render_table
 
-LANAI_MHZ = 133.0
 HOST_MHZ = 550.0
 
 
@@ -320,17 +320,21 @@ def run_occupancy_tables(messages: int = 50) -> OccupancyResult:
     """Instrument the firmware cycle counter over a 1-byte message stream.
 
     The client NIC shows the data-transmit and ACK-receive paths; the
-    server NIC shows data-receive and ACK-transmit.
+    server NIC, which re-posts each consumed receive buffer, shows
+    data-receive and ACK-transmit.  Each table row is the stage on that
+    column's path (``hw.stages.TABLE2_PATHS`` / ``TABLE3_PATHS``) whose
+    ``paper_row`` is the row's label; a row off the path reads ``None``.
     """
     sim = Simulator()
     a, b, _f = build_qpip_pair(sim)
+    ring = 8
 
     def server():
         iface = b.iface
         cq = yield from iface.create_cq()
-        qp = yield from iface.create_qp(QPTransport.TCP, cq, max_recv_wr=300)
+        qp = yield from iface.create_qp(QPTransport.TCP, cq)
         bufs = []
-        for _ in range(messages + 4):
+        for _ in range(ring):
             buf = yield from iface.register_memory(4096)
             yield from iface.post_recv(qp, [buf.sge()])
             bufs.append(buf)
@@ -338,8 +342,9 @@ def run_occupancy_tables(messages: int = 50) -> OccupancyResult:
         yield from iface.accept(listener, qp)
         done = 0
         while done < messages:
-            cqes = yield from iface.wait(cq)
-            done += len(cqes)
+            for _cqe in (yield from iface.wait(cq)):
+                yield from iface.post_recv(qp, [bufs[done % ring].sge()])
+                done += 1
 
     def client():
         iface = a.iface
@@ -361,36 +366,23 @@ def run_occupancy_tables(messages: int = 50) -> OccupancyResult:
     sim.run(until=300_000_000)
     assert cp.triggered and cp.ok
 
+    def rows(reference, paths, counters):
+        out = []
+        for label, (paper_data, paper_ack) in reference.items():
+            measured = []
+            for path, cc in zip(paths, counters):
+                name = next((s.name for s in path if s.paper_row == label),
+                            None)
+                measured.append(cc.mean(name) if cc.samples.get(name)
+                                else None)
+            out.append((label, measured[0], paper_data,
+                        measured[1], paper_ack))
+        return out
+
     tx_cc, rx_cc = a.nic.cycles, b.nic.cycles
-
-    def mean(cc, stage):
-        return cc.mean(stage) if cc.samples.get(stage) else None
-
-    tx_rows = [
-        ("Doorbell Process", mean(tx_cc, "doorbell"), 1.0,
-         mean(rx_cc, "doorbell"), 1.0),
-        ("Schedule", mean(tx_cc, "schedule"), 2.0, mean(rx_cc, "schedule"), 2.0),
-        ("Get WR", mean(tx_cc, "get_wr"), 5.5, None, None),
-        ("Get Data", mean(tx_cc, "get_data"), 4.5, None, None),
-        ("Build TCP Hdr", mean(tx_cc, "build_tcp_hdr"), 5.0,
-         mean(rx_cc, "build_tcp_hdr"), 5.0),
-        ("Build IP Hdr", mean(tx_cc, "build_ip_hdr"), 1.0,
-         mean(rx_cc, "build_ip_hdr"), 1.0),
-        ("Send", mean(tx_cc, "media_send"), 1.0, mean(rx_cc, "media_send"), 1.0),
-        ("Update", mean(tx_cc, "tx_update"), 1.5, mean(rx_cc, "tx_update"), 1.5),
-    ]
-    rx_rows = [
-        ("Media Rcv", mean(rx_cc, "media_recv"), 1.0,
-         mean(tx_cc, "media_recv"), 1.0),
-        ("IP Parse", mean(rx_cc, "ip_parse"), 1.5, mean(tx_cc, "ip_parse"), 1.5),
-        ("TCP Parse", mean(rx_cc, "tcp_parse_data"), 7.0,
-         mean(tx_cc, "tcp_parse_ack"), 14.0),
-        ("Get WR", mean(rx_cc, "get_wr"), 5.5, None, None),
-        ("Put Data", mean(rx_cc, "put_data"), 4.5, None, None),
-        ("Update", mean(rx_cc, "rx_update_data"), 1.5,
-         mean(tx_cc, "rx_update_ack"), 9.0),
-    ]
-    return OccupancyResult(tx_rows, rx_rows)
+    return OccupancyResult(
+        rows(paper.TABLE2_TX, TABLE2_PATHS, (tx_cc, rx_cc)),
+        rows(paper.TABLE3_RX, TABLE3_PATHS, (rx_cc, tx_cc)))
 
 
 # ---------------------------------------------------------------------------

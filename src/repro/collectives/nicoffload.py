@@ -15,10 +15,12 @@ that property is pinned by gate scenarios.  Frames above the group's
 connection pair (the CTS rides the reverse direction) models SRAM
 staging admission and costs one extra round trip per step.
 
-Determinism: every charge goes through ``nic.stage`` / DMA events,
-whose eager and dispatch-chain paths agree on timestamps and tie order,
-so NIC-offloaded results are bit-identical under
-``tests/reference_paths.py`` and across cluster shardings.
+Determinism: every charge goes through ``nic.run`` — the rows
+``coll_get_wr``, ``coll_frame`` and ``coll_combine`` of the stage table
+(:mod:`repro.hw.stages`) — or DMA events, whose product and stepwise
+reference paths agree on timestamps and tie order, so NIC-offloaded
+results are bit-identical under ``tests/reference_paths.py`` and across
+cluster shardings.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from ..net.addresses import Endpoint, IPv6Address
 from ..net.packet import BytesPayload
 from ..core.firmware import (RDMA_WINDOW_CREDIT, FwEndpoint, QpipFirmware)
 from ..core.wr import Completion, WROpcode, WRStatus
+from ..hw.stages import COLL_COMBINE, COLL_FRAME, COLL_GET_WR
 from . import frames
 from .group import (ELEM, CollectiveStats, ag_recv_chunk, ag_send_chunk,
                     chunk_bounds, combine_into, pack_vector, rs_recv_chunk,
@@ -98,6 +101,8 @@ class CollectiveUnit:
         self._pending: Dict[FwEndpoint, Deque[Tuple[bytes, str, bool]]] = {}
         self._stash: List[Tuple[frames.FrameHeader, bytes]] = []
         self._frame_elems = frames.max_frame_elems(self.nic.mtu)
+        self._get_wr_span = self.nic.span(COLL_GET_WR)
+        self._frame_span = self.nic.span(COLL_FRAME)
         # allreduce schedule cursors
         self.acc: List[float] = []
         self._bounds: List[Tuple[int, int]] = []
@@ -174,11 +179,10 @@ class CollectiveUnit:
         if not self.ready:
             self.start_wanted = True
             return
-        t = self.nic.timing
         op = self.host_ring.popleft()
         self.op = op
         self._op_started = self.sim.now
-        yield self.nic.stage("coll_get_wr", t.get_wr)
+        yield self.nic.run(self._get_wr_span)
         rec = obs.RECORDER
         if rec is not None:
             rec.event("coll", "coll.start", track=self._track(),
@@ -244,8 +248,7 @@ class CollectiveUnit:
     # -- receive path -------------------------------------------------------
 
     def on_deliver(self, ep: FwEndpoint, payload):
-        t = self.nic.timing
-        yield self.nic.stage("coll_frame", t.coll_frame)
+        yield self.nic.run(self._frame_span)
         if ep.conn is not None:
             ep.conn.set_receive_credit(RDMA_WINDOW_CREDIT)
         try:
@@ -294,11 +297,9 @@ class CollectiveUnit:
             yield from self._on_data_broadcast(hdr, body)
 
     def _on_data_allreduce(self, hdr: frames.FrameHeader, body: bytes):
-        t = self.nic.timing
         world = self.config.world
         if body:
-            yield self.nic.stage("coll_combine",
-                                 t.coll_combine_per_byte * len(body))
+            yield self._combine(body)
         values = unpack_vector(body)
         if self.recv_idx < world - 1:
             combine_into(self.acc, hdr.offset, values)
@@ -314,11 +315,9 @@ class CollectiveUnit:
             yield from self._complete()
 
     def _on_data_broadcast(self, hdr: frames.FrameHeader, body: bytes):
-        t = self.nic.timing
         op = self.op
         if body:
-            yield self.nic.stage("coll_combine",
-                                 t.coll_combine_per_byte * len(body))
+            yield self._combine(body)
         values = unpack_vector(body)
         self.acc[hdr.offset:hdr.offset + len(values)] = values
         self.bcast_received += hdr.count
@@ -330,6 +329,12 @@ class CollectiveUnit:
                 hdr.step, hdr.offset, hdr.count, body), "broadcast")
         if self.bcast_received >= op.nelems:
             yield from self._complete()
+
+    def _combine(self, body: bytes):
+        """The firmware combine loop over one frame body (a core wait)."""
+        per_byte = self.nic.timing.coll_combine_per_byte
+        return self.nic.run(self.nic.span(
+            COLL_COMBINE.sized(per_byte * len(body))))
 
     def _on_token(self, hdr: frames.FrameHeader):
         rank = self.config.rank
@@ -457,8 +462,7 @@ class CollectiveUnit:
 
     def fetch_next(self, ep: FwEndpoint):
         """Transmit-FSM service: hand one queued frame to the connection."""
-        t = self.nic.timing
-        yield self.nic.stage("coll_frame", t.coll_frame)
+        yield self.nic.run(self._frame_span)
         q = self._pending.get(ep)
         if not q or ep.conn is None:
             return

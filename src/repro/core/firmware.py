@@ -14,12 +14,19 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..errors import (ConnectionReset, DmaError, QPStateError,
                       ResourceExhausted, VerbsError)
 from ..hw.lanai import ProgrammableNic
+from ..hw.stages import (DOORBELL, DOORBELL_RESCAN, GET_DATA,
+                         MEDIA_SEND_DRAIN, MGMT, RDMA_READ_REQ, RECV_PLACE,
+                         RX_CHECKSUM, RX_PARSE_ACK, RX_PARSE_DATA,
+                         RX_PARSE_UDP, RX_UPDATE_ACK, RX_UPDATE_EXTRA,
+                         SCHEDULE, TX_BUILD_TCP, TX_BUILD_UDP, TX_DONE,
+                         timed)
 from ..mem import Access, TranslationTable
 from ..net import InetStack
 from ..net.addresses import Endpoint, IPv6Address, MacAddress
@@ -27,7 +34,6 @@ from ..net.headers.transport import TCPHeader
 from ..net.packet import (EMPTY as EMPTY_PAYLOAD, BytesPayload,
                           Packet, Payload, ZeroPayload)
 from ..net.tcp import TcpConfig, TcpConnection, classify
-from ..net.udp import Datagram
 from ..sim import Event, Simulator
 from .rdma import RDMA_HDR_LEN, RdmaHeader, RdmaOpcode, frame, unframe
 from .cq import CQE_BYTES
@@ -183,6 +189,24 @@ class QpipFirmware:
         self.dma_wr_errors = 0
         self.watchdog_aborts = 0
         self.qp_error_transitions = 0
+        # The FSMs' fixed-cost spans, priced once from the stage table.
+        t, span = nic.timing, nic.span
+        self._doorbell_stages = timed(t, DOORBELL)
+        self._rescan_span = span(DOORBELL_RESCAN)
+        self._mgmt_span = span(MGMT)
+        self._schedule_span = span(SCHEDULE)
+        self._get_wr_span, self._put_data_span, self._rx_update_span = map(
+            span, RECV_PLACE)
+        self._get_data_span = span(GET_DATA)
+        self._ack_update_span = span(RX_UPDATE_ACK)
+        self._extra_update_span = span(RX_UPDATE_EXTRA)
+        self._read_req_span = span(RDMA_READ_REQ)
+        self._parse_data = timed(t, *RX_PARSE_DATA)
+        self._parse_ack = timed(t, *RX_PARSE_ACK)
+        self._parse_udp = timed(t, *RX_PARSE_UDP)
+        self._build_tcp = timed(t, *TX_BUILD_TCP)
+        self._build_udp = timed(t, *TX_BUILD_UDP)
+        self._tx_done = timed(t, *TX_DONE)
         nic.wake = self._wake
         self._iface = _FwIface(nic)
         self.sim.process(self._main_loop())
@@ -220,30 +244,34 @@ class QpipFirmware:
                     or self.nic.doorbell_overflow or self._actions)
 
     def _main_loop(self):
-        t = self.nic.timing
+        nic = self.nic
+        fifo = nic.doorbell_fifo
         while True:
-            if self.nic.doorbell_fifo:
-                if len(self.nic.doorbell_fifo) > 1:
-                    walk = self._doorbell_burst()
-                    if walk is not None:
-                        yield walk
-                        continue
-                token = self.nic.doorbell_fifo.popleft()
-                yield self.nic.stage("doorbell", t.doorbell_process)
-                self._doorbell(token)
-            elif self.nic.doorbell_overflow:
+            if fifo:
+                # The whole FIFO drains as one walk of one-stage spans:
+                # each token is processed at the instant its own doorbell
+                # stage completes, the last one as the loop resumes.
+                # Doorbells rung meanwhile queue behind the walk.
+                *tokens, last = fifo
+                fifo.clear()
+                spans = [(self._doorbell_stages, partial(self._doorbell, tok))
+                         for tok in tokens]
+                spans.append((self._doorbell_stages, None))
+                yield nic.run(spans)
+                self._doorbell(last)
+            elif nic.doorbell_overflow:
                 # The doorbell FIFO overflowed and posted writes were
                 # lost.  Clear the sticky bit and rescan every QP: any
                 # send queue with work gets scheduled, any receive queue
                 # refreshes its credit — no WR is left behind.
-                self.nic.doorbell_overflow = False
-                yield self.nic.stage("doorbell_rescan", t.mgmt_command)
+                nic.doorbell_overflow = False
+                yield nic.run(self._rescan_span)
                 self._doorbell_rescan()
-            elif self.nic.mgmt_queue:
-                cmd = self.nic.mgmt_queue.popleft()
-                yield self.nic.stage("mgmt", t.mgmt_command)
+            elif nic.mgmt_queue:
+                cmd = nic.mgmt_queue.popleft()
+                yield nic.run(self._mgmt_span)
                 self._mgmt(cmd)
-            elif self.nic.rx_queue and (self._rx_turn or not self._tx_ring):
+            elif nic.rx_queue and (self._rx_turn or not self._tx_ring):
                 self._rx_turn = False
                 yield from self._receive_one()
             elif self._tx_ring:
@@ -258,48 +286,6 @@ class QpipFirmware:
                 yield self._idle
 
     # -- doorbell FSM -----------------------------------------------------------
-
-    def _doorbell_burst(self):
-        """Drain the whole doorbell FIFO as one burst walker.
-
-        Each doorbell's core span is charged up front — legal because
-        the firmware process is the core's only submitter, so the busy
-        horizon advances exactly as the one-per-wake loop would advance
-        it — and each token is processed at the precise boundary time
-        its own span would have completed, with per-span cycle/obs
-        records made at the span's start time.  Doorbells that arrive
-        while the burst is in flight queue behind it in FIFO order and
-        are serviced when the loop resumes, exactly like the unbatched
-        path.  Returns a walker for the loop to yield, or ``None`` when
-        the fast path does not apply (nothing charged or recorded).
-        """
-        nic = self.nic
-        if nic.processor._busy:
-            return None
-        cost = nic.timing.doorbell_process
-        fifo = nic.doorbell_fifo
-        steps = []
-        first = True
-        while fifo:
-            token = fifo.popleft()
-            if first:
-                nic.record_stage("doorbell", cost)
-                first = False
-            delay = nic.processor.try_charge(cost, category="doorbell")
-            if delay is None:  # pragma: no cover - guarded by _busy above
-                fifo.appendleft(token)
-                break
-            if fifo:
-                def fire(tok=token, c=cost, n=nic):
-                    self._doorbell(tok)
-                    n.record_stage("doorbell", c)
-            else:
-                def fire(tok=token):
-                    self._doorbell(tok)
-            steps.append((delay, fire))
-        if not steps:
-            return None
-        return self.sim.burst(steps)
 
     def _doorbell(self, token: Tuple[int, str]) -> None:
         qp_num, which = token
@@ -518,47 +504,46 @@ class QpipFirmware:
 
     def _receive_one(self):
         # The parse stages run back-to-back with nothing observable in
-        # between, so they occupy the core as one merged submission
-        # (same start/finish times, one kernel event instead of four).
-        t = self.nic.timing
+        # between, so they occupy the core as one merged span (same
+        # start/finish times, one kernel event instead of three or four).
         pkt = self.nic.rx_queue.popleft()
-        stages = [("media_recv", t.media_recv)]
-        if t.rx_checksum_per_byte is not None:
-            covered = pkt.payload.length + 20    # transport header + payload
-            stages.append(("rx_checksum", t.rx_checksum_per_byte * covered))
-        stages.append(("ip_parse", t.ip_parse))
         tcp_hdr = pkt.find(TCPHeader)
-        if tcp_hdr is not None:
-            kind = classify(tcp_hdr, pkt.payload.length)
-            if kind == "ack":
-                stages.append(("tcp_parse_ack", t.tcp_parse_ack))
-            else:
-                stages.append(("tcp_parse_data", t.tcp_parse_data))
+        if tcp_hdr is None:
+            parse = self._parse_udp
+        elif classify(tcp_hdr, pkt.payload.length) == "ack":
+            parse = self._parse_ack
         else:
-            stages.append(("udp_parse", t.udp_parse))
-        yield self.nic.stages(stages)
+            parse = self._parse_data
+        per_byte = self.nic.timing.rx_checksum_per_byte
+        if per_byte is not None:
+            covered = pkt.payload.length + 20    # transport header + payload
+            parse = ((parse[0], RX_CHECKSUM.sized(per_byte * covered))
+                     + parse[1:])
+        yield self.nic.run(((parse, None),))
         self.stack.packet_in(pkt)
         yield from self._drain_actions()
 
     def _drain_actions(self):
-        t = self.nic.timing
         actions, self._actions = list(self._actions), []
         first_ack_update = True
         for action in actions:
             kind = action[0]
             if kind == "deliver":
                 _k, ep, payload = action
-                yield from self._deliver_tcp(ep, payload)
+                if ep.coll_unit is not None:
+                    yield from ep.coll_unit.on_deliver(ep, payload)
+                elif ep.qp is not None and ep.qp.rdma:
+                    yield from self._deliver_rdma(ep, payload)
+                else:
+                    yield from self._place(ep, payload)
             elif kind == "udp_deliver":
                 _k, ep, datagram = action
-                yield from self._deliver_udp(ep, datagram)
+                yield from self._place(ep, datagram.payload, datagram.src)
             elif kind == "send_done":
                 _k, ep, wr = action
-                if first_ack_update:
-                    yield self.nic.stage("rx_update_ack", t.rx_update_ack)
-                    first_ack_update = False
-                else:
-                    yield self.nic.stage("rx_update_extra", t.rx_update_data)
+                yield self.nic.run(self._ack_update_span if first_ack_update
+                                   else self._extra_update_span)
+                first_ack_update = False
                 if wr is not None and ep.qp is not None:
                     ep.qp.sends_completed += 1
                     self._post_cqe(ep.qp.send_cq, Completion(
@@ -585,20 +570,27 @@ class QpipFirmware:
                 # Data actions can appear here only via pathological reentry.
                 self._actions.append(action)
 
-    def _deliver_tcp(self, ep: FwEndpoint, payload: Payload):
-        if ep.coll_unit is not None:
-            yield from ep.coll_unit.on_deliver(ep, payload)
-            return
-        if ep.qp is not None and ep.qp.rdma:
-            yield from self._deliver_rdma(ep, payload)
-            return
-        t = self.nic.timing
+    def _place(self, ep: FwEndpoint, payload: Payload, src=None):
+        """Receive placement into the head posted WR: TCP data, an RDMA
+        SEND's body, or (with the datagram's ``src``) a UDP datagram.
+
+        Only admission differs.  UDP is best effort: with no WR, or one
+        too small, the datagram is dropped before any stage runs.  A
+        stream overran its credit instead, which fails the endpoint (no
+        WR at once, a short WR after Get WR), and a placed stream WR
+        refreshes the credit window.
+        """
         qp = ep.qp
-        if qp is None or not qp.recv_queue:
+        if src is not None:
+            if (qp is None or not qp.recv_queue
+                    or payload.length > qp.recv_queue[0].length):
+                self.udp_drops_no_wr += 1
+                return
+        elif qp is None or not qp.recv_queue:
             # Credit flow control should make this impossible; treat as fatal.
             self._fail_endpoint(ep, WRStatus.REMOTE_ABORTED)
             return
-        yield self.nic.stage("get_wr", t.get_wr)
+        yield self.nic.run(self._get_wr_span)
         wr = qp.take_recv()
         qp.wr_dequeued("recv")
         rec = obs.RECORDER
@@ -610,53 +602,22 @@ class QpipFirmware:
             qp.untake_recv(wr)
             self._fail_endpoint(ep, WRStatus.LOCAL_LENGTH_ERROR)
             return
-        yield self.nic.stage("put_data", t.put_data)
+        yield self.nic.run(self._put_data_span)
         try:
             dma = self.nic.dma_to_host(payload.length)
         except DmaError:
             self._dma_wr_error(ep, wr)
             return
-        if not t.overlap_dma:
+        if not self.nic.timing.overlap_dma:
             yield dma
         self._write_wr_data(wr, payload)
-        yield self.nic.stage("rx_update_data", t.rx_update_data)
-        qp.recvs_completed += 1
-        self._post_cqe(qp.recv_cq, Completion(
-            wr.wr_id, qp.qp_num, WROpcode.RECV, byte_len=payload.length))
-        ep.conn.set_receive_credit(self._qp_credit(qp))
-
-    def _deliver_udp(self, ep: FwEndpoint, datagram: Datagram):
-        t = self.nic.timing
-        qp = ep.qp
-        payload = datagram.payload
-        if qp is None or not qp.recv_queue:
-            self.udp_drops_no_wr += 1       # best effort: drop
-            return
-        if payload.length > qp.recv_queue[0].length:
-            self.udp_drops_no_wr += 1
-            return
-        yield self.nic.stage("get_wr", t.get_wr)
-        wr = qp.take_recv()
-        qp.wr_dequeued("recv")
-        rec = obs.RECORDER
-        if rec is not None:
-            rec.event("fw", "fw.deliver", track=f"{self.nic.attachment.name}.fw",
-                      qp=qp.qp_num, wr_id=wr.wr_id, bytes=payload.length)
-            rec.metrics.counter("fw.recv_delivered").add()
-        yield self.nic.stage("put_data", t.put_data)
-        try:
-            dma = self.nic.dma_to_host(payload.length)
-        except DmaError:
-            self._dma_wr_error(ep, wr)
-            return
-        if not t.overlap_dma:
-            yield dma
-        self._write_wr_data(wr, payload)
-        yield self.nic.stage("rx_update_data", t.rx_update_data)
+        yield self.nic.run(self._rx_update_span)
         qp.recvs_completed += 1
         self._post_cqe(qp.recv_cq, Completion(
             wr.wr_id, qp.qp_num, WROpcode.RECV, byte_len=payload.length,
-            src=datagram.src))
+            src=src))
+        if src is None:
+            ep.conn.set_receive_credit(self._qp_credit(qp))
 
     def _write_wr_data(self, wr: WorkRequest, payload: Payload) -> None:
         """Direct data placement into the registered receive buffers."""
@@ -676,10 +637,9 @@ class QpipFirmware:
     # -- transmit (scheduler) FSM -----------------------------------------------
 
     def _transmit_one(self):
-        t = self.nic.timing
         ep = self._tx_ring.popleft()
         ep.queued = False
-        yield self.nic.stage("schedule", t.schedule)
+        yield self.nic.run(self._schedule_span)
         if ep.read_responses and self._can_fetch(ep):
             yield from self._emit_read_response(ep)
         elif ep.qp is not None and ep.qp.send_queue and self._can_fetch(ep):
@@ -710,7 +670,7 @@ class QpipFirmware:
     def _fetch_send_wr(self, ep: FwEndpoint):
         t = self.nic.timing
         qp = ep.qp
-        yield self.nic.stage("get_wr", t.get_wr)
+        yield self.nic.run(self._get_wr_span)
         if not qp.send_queue:
             return
         wr = qp.send_queue.popleft()
@@ -725,7 +685,7 @@ class QpipFirmware:
         except Exception:
             self._local_wr_error(ep, wr, WRStatus.LOCAL_PROTECTION_ERROR)
             return
-        yield self.nic.stage("get_data", t.get_data)
+        yield self.nic.run(self._get_data_span)
         try:
             dma = self.nic.dma_from_host(payload.length)
         except DmaError:
@@ -765,32 +725,12 @@ class QpipFirmware:
         return concat(parts)
 
     def _send_udp(self, ep: FwEndpoint, wr: WorkRequest, payload: Payload):
-        t = self.nic.timing
         from ..net.headers.transport import UDPHeader
         hdr = UDPHeader(ep.qp.local_port or 0, wr.dest.port,
                         length=8 + payload.length)
         pkt = self.stack.ip.build(self.addr, wr.dest.addr, hdr, payload)
-        pre = [("build_udp_hdr", t.build_udp_hdr),
-               ("build_ip_hdr", t.build_ip_hdr),
-               ("media_send", t.media_send)]
-        if not t.overlap_dma:
-            # The prototype's firmware babysits the send engine until the
-            # packet has left SRAM; IB-class hardware overlaps.
-            post = [("media_send_drain", self.nic.wire_time(pkt)),
-                    ("tx_update", t.tx_update)]
-        else:
-            post = [("tx_update", t.tx_update)]
-        walk = self.nic.stages_burst(
-            pre, lambda: self.nic.wire_transmit(pkt), post)
-        if walk is not None:
-            yield walk
-        else:
-            yield self.nic.stages(pre)
-            self.nic.wire_transmit(pkt)
-            if len(post) > 1:
-                yield self.nic.stages(post)
-            else:
-                yield self.nic.stage("tx_update", t.tx_update)
+        yield self.nic.run(self._emit(
+            self._build_udp, pkt, not self.nic.timing.overlap_dma))
         # UDP send WRs complete as soon as the datagram is on the wire (§3).
         ep.qp.sends_completed += 1
         self._post_cqe(ep.qp.send_cq, Completion(
@@ -806,7 +746,7 @@ class QpipFirmware:
             # Retransmission: the data must be fetched from host memory
             # again.  Collective frames originate in NIC SRAM (the unit's
             # accumulator), so they skip the host refetch.
-            yield self.nic.stage("get_data", t.get_data)
+            yield self.nic.run(self._get_data_span)
             try:
                 dma = self.nic.dma_from_host(
                     desc.chunk.payload.length if desc.chunk else 0)
@@ -820,31 +760,21 @@ class QpipFirmware:
         if built is None:
             return
         hdr, payload = built
-        # Header building and send-engine setup are pure back-to-back
-        # stages: one merged core occupancy, the packet hits the wire at
-        # the same simulated time.  On the fast path the whole emit —
-        # build stages, wire handoff at the boundary, drain/update — is
-        # one burst walker and a single suspension of this process.
         pkt = self.stack.build_segment_packet(conn, hdr, payload)
-        pre = [("build_tcp_hdr", t.build_tcp_hdr),
-               ("build_ip_hdr", t.build_ip_hdr),
-               ("media_send", t.media_send)]
-        if not t.overlap_dma and payload.length:
-            post = [("media_send_drain", self.nic.wire_time(pkt)),
-                    ("tx_update", t.tx_update)]
-        else:
-            post = [("tx_update", t.tx_update)]
-        walk = self.nic.stages_burst(
-            pre, lambda: self.nic.wire_transmit(pkt), post)
-        if walk is not None:
-            yield walk
-            return
-        yield self.nic.stages(pre)
-        self.nic.wire_transmit(pkt)
-        if len(post) > 1:
-            yield self.nic.stages(post)
-        else:
-            yield self.nic.stage("tx_update", t.tx_update)
+        yield self.nic.run(self._emit(
+            self._build_tcp, pkt, not t.overlap_dma and payload.length))
+
+    def _emit(self, build, pkt: Packet, drain):
+        """The spans of one packet emit, a single walk for ``nic.run``:
+        the header-build span, the wire handoff at its end, then
+        ``tx_update`` — behind ``media_send_drain`` when ``drain``: the
+        prototype's firmware babysits the send engine until the packet
+        has left SRAM, where IB-class hardware overlaps."""
+        post = self._tx_done
+        if drain:
+            post = (MEDIA_SEND_DRAIN.sized(self.nic.wire_time(pkt)),) + post
+        nic = self.nic
+        return ((build, lambda: nic.wire_transmit(pkt)), (post, None))
 
     # -- RDMA extension (one-sided operations; see core/rdma.py) -----------
 
@@ -928,8 +858,6 @@ class QpipFirmware:
 
     def _deliver_rdma(self, ep: FwEndpoint, payload: Payload):
         """Receive path for framed (rdma-enabled) QPs."""
-        t = self.nic.timing
-        qp = ep.qp
         try:
             hdr, body = unframe(payload)
         except Exception:
@@ -939,48 +867,19 @@ class QpipFirmware:
         ep.conn.app_consumed(payload.length) if not ep.conn._credit_mode \
             else None
         if hdr.opcode is RdmaOpcode.SEND:
-            yield from self._rdma_untagged(ep, body)
+            yield from self._place(ep, body)
         elif hdr.opcode is RdmaOpcode.WRITE:
             yield from self._rdma_place(ep, hdr, body, notify=None)
         elif hdr.opcode is RdmaOpcode.READ_REQ:
-            yield self.nic.stage("rdma_read_req", t.get_wr)
+            yield self.nic.run(self._read_req_span)
             ep.read_responses.append(hdr)
             self._queue_tx(ep)
         elif hdr.opcode is RdmaOpcode.READ_RESP:
             yield from self._rdma_place(ep, hdr, body, notify="read")
 
-    def _rdma_untagged(self, ep: FwEndpoint, body: Payload):
-        t = self.nic.timing
-        qp = ep.qp
-        if not qp.recv_queue:
-            self._fail_endpoint(ep, WRStatus.REMOTE_ABORTED)
-            return
-        yield self.nic.stage("get_wr", t.get_wr)
-        wr = qp.take_recv()
-        qp.wr_dequeued("recv")
-        if body.length > wr.length:
-            qp.untake_recv(wr)
-            self._fail_endpoint(ep, WRStatus.LOCAL_LENGTH_ERROR)
-            return
-        yield self.nic.stage("put_data", t.put_data)
-        try:
-            dma = self.nic.dma_to_host(body.length)
-        except DmaError:
-            self._dma_wr_error(ep, wr)
-            return
-        if not t.overlap_dma:
-            yield dma
-        self._write_wr_data(wr, body)
-        yield self.nic.stage("rx_update_data", t.rx_update_data)
-        qp.recvs_completed += 1
-        self._post_cqe(qp.recv_cq, Completion(
-            wr.wr_id, qp.qp_num, WROpcode.RECV, byte_len=body.length))
-        ep.conn.set_receive_credit(self._qp_credit(qp))
-
     def _rdma_place(self, ep: FwEndpoint, hdr: RdmaHeader, body: Payload,
                     notify: Optional[str]):
         """Direct placement of a tagged message (WRITE or READ_RESP)."""
-        t = self.nic.timing
         key = hdr.sink_key if notify == "read" else hdr.rkey
         addr = hdr.sink_addr if notify == "read" else hdr.remote_addr
         try:
@@ -993,18 +892,18 @@ class QpipFirmware:
             self._fail_endpoint(ep, WRStatus.REMOTE_ACCESS_ERROR)
             ep.conn.abort() if ep.conn else None
             return
-        yield self.nic.stage("put_data", t.put_data)
+        yield self.nic.run(self._put_data_span)
         try:
             dma = self.nic.dma_to_host(body.length)
         except DmaError:
             self.dma_wr_errors += 1
             self._fail_endpoint(ep, WRStatus.LOCAL_DMA_ERROR)
             return
-        if not t.overlap_dma:
+        if not self.nic.timing.overlap_dma:
             yield dma
         if not isinstance(body, ZeroPayload):
             region.aspace.write(addr, body.to_bytes())
-        yield self.nic.stage("rx_update_data", t.rx_update_data)
+        yield self.nic.run(self._rx_update_span)
         if notify == "read":
             yield from self._rdma_read_progress(ep, hdr, body.length)
 
@@ -1012,7 +911,6 @@ class QpipFirmware:
                             placed: int):
         # The request recorded the sink base address; responses advance
         # through the sink, so locate the tracking entry by range.
-        t = self.nic.timing
         for base, entry in list(ep.outstanding_reads.items()):
             wr, left = entry
             sink = wr.sges[0]
@@ -1020,7 +918,7 @@ class QpipFirmware:
                 entry[1] = left - placed
                 if entry[1] <= 0:
                     del ep.outstanding_reads[base]
-                    yield self.nic.stage("rx_update_ack", t.rx_update_ack)
+                    yield self.nic.run(self._ack_update_span)
                     ep.qp.sends_completed += 1
                     self._post_cqe(ep.qp.send_cq, Completion(
                         wr.wr_id, ep.qp.qp_num, WROpcode.RDMA_READ,
@@ -1041,7 +939,7 @@ class QpipFirmware:
             ep.read_responses.popleft()
             self._fail_endpoint(ep, WRStatus.REMOTE_ACCESS_ERROR)
             return
-        yield self.nic.stage("get_data", t.get_data)
+        yield self.nic.run(self._get_data_span)
         try:
             dma = self.nic.dma_from_host(n)
         except DmaError:

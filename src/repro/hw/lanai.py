@@ -9,7 +9,9 @@ Provides the mechanical resources the QPIP firmware runs on:
   stored in a FIFO in the interface SRAM", §4.1);
 * two host-DMA engines sharing the PCI bus, and send/receive wire engines;
 * a cycle counter for per-stage instrumentation (the paper's Tables 2 & 3
-  were measured "using the LANai 9 cycle counter").
+  were measured "using the LANai 9 cycle counter");
+* :meth:`ProgrammableNic.run`, the one executor that charges the rows of
+  the stage table (:mod:`repro.hw.stages`) on the core.
 
 The firmware program itself lives in :mod:`repro.core.firmware`.
 """
@@ -25,28 +27,37 @@ from ..fabric.link import Attachment
 from ..net.packet import Packet
 from ..sim import Event, Simulator, WorkQueue
 from .host import Host
+from .stages import FAULT_STALL, timed
 from .timing import LanaiTiming
 
 LANAI_MHZ = 133.0
 
 
-class CycleCounter:
-    """Per-stage time attribution, read like the LANai cycle counter.
+def _total(stages) -> float:
+    total = 0.0
+    for _name, us in stages:
+        total += us
+    return total
 
-    ``enabled=False`` makes instrumentation free: hot callers check the
-    flag before calling :meth:`record`, so a disabled counter costs one
-    attribute read per stage instead of four dict operations.
-    """
+
+class CycleCounter:
+    """Per-stage time attribution, read like the LANai cycle counter."""
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.enabled = True
         self.by_stage: dict = {}
         self.samples: dict = {}
 
-    def record(self, stage: str, duration: float) -> None:
-        self.by_stage[stage] = self.by_stage.get(stage, 0.0) + duration
-        self.samples[stage] = self.samples.get(stage, 0) + 1
+    def record(self, stages) -> float:
+        """Attribute each ``(name, µs)`` stage of one span; returns the
+        span's total."""
+        by_stage, samples = self.by_stage, self.samples
+        total = 0.0
+        for name, us in stages:
+            by_stage[name] = by_stage.get(name, 0.0) + us
+            samples[name] = samples.get(name, 0) + 1
+            total += us
+        return total
 
     def mean(self, stage: str) -> float:
         n = self.samples.get(stage, 0)
@@ -74,6 +85,7 @@ class ProgrammableNic:
         # fast path in WorkQueue.
         self.processor = WorkQueue(sim, name=f"{host.name}.{name}.fw", eager=True)
         self.cycles = CycleCounter(sim)
+        self._core_track = f"{host.name}.{name}.core"
         self.attachment = Attachment(f"{host.name}.{name}", self._on_wire_receive)
         self.attachment.mtu = mtu
         self.doorbell_fifo: Deque = deque()
@@ -119,98 +131,62 @@ class ProgrammableNic:
 
     # -- firmware-facing mechanisms -----------------------------------------
 
-    def record_stage(self, name: str, duration: float) -> None:
-        """Cycle-counter and obs bookkeeping for one stage, without
-        charging the core — burst paths charge separately and call this
-        at each span's start time."""
-        cyc = self.cycles
-        if cyc.enabled:
-            cyc.record(name, duration)
-        rec = obs.RECORDER
-        if rec is not None:
-            rec.complete("fw.stage", name, duration,
-                         track=f"{self.host.name}.{self.name}.core")
-            rec.metrics.histogram(f"fw.stage_us.{name}").add(duration)
+    def span(self, *rows):
+        """One callback-free span of ``rows`` (table rows, or pairs from
+        :meth:`Stage.sized`): the argument for :meth:`run`'s single-span
+        form, priced against this NIC's timing."""
+        return ((timed(self.timing, *rows), None),)
 
-    def stage(self, name: str, duration: float):
-        """Run one timed FSM stage on the NIC core.
+    def run(self, spans):
+        """Run firmware stages on the core: the one way occupancy is charged.
 
-        Returns a yieldable wait: a plain delay on the fast path, a
-        completion event otherwise."""
-        self.record_stage(name, duration)
-        return self.processor.submit_wait(duration, category=name)
+        ``spans`` is a sequence of ``(stages, at_end)``: ``stages`` is
+        ``((name, µs), ...)`` built from the stage table (:meth:`span`,
+        :func:`timed`) and occupies the core back to back as one charge,
+        while the cycle counter and the ``fw.stage`` trace still see
+        every stage; ``at_end`` is ``None`` or a callable run at the
+        instant the span completes (a segment's wire handoff, a
+        doorbell's token), after which the next span is recorded.
 
-    def stages(self, pairs):
-        """Run several back-to-back FSM stages as one core occupancy.
-
-        ``pairs`` is ``[(name, duration), ...]``.  The core is busy for
-        the summed duration — identical start/finish times to yielding
-        each stage in turn — while the cycle counter still attributes
-        time per stage.  Only legal when nothing observable happens
-        between the stages (the firmware's parse/build sequences).
-        ``tests/reference_paths.py`` holds the one-submission-per-stage
-        form this is checked against.
+        Returns what the caller yields, once: a plain delay for one span
+        without a callback, else one ``sim.burst`` walk.  All spans are
+        charged up front, which is legal because the firmware process is
+        the core's only submitter, so the busy horizon advances as
+        charging at each boundary would (a :meth:`stall` injected
+        mid-walk queues behind all of it).  ``tests/reference_paths.py``
+        holds the stepwise form this is checked against.
         """
-        cyc = self.cycles
-        if cyc.enabled:
-            for name, duration in pairs:
-                cyc.record(name, duration)
-        rec = obs.RECORDER
-        if rec is not None:
-            track = f"{self.host.name}.{self.name}.core"
-            for name, duration in pairs:
-                rec.complete("fw.stage", name, duration, track=track)
-                rec.metrics.histogram(f"fw.stage_us.{name}").add(duration)
-        total = 0.0
-        for _name, duration in pairs:
-            total += duration
-        return self.processor.submit_wait(total, category=pairs[0][0])
+        stages, at_end = spans[0]
+        charge = self.processor.try_charge
+        delay = charge(self._record(stages), category=stages[0][0])
+        if at_end is None and len(spans) == 1:
+            return delay
+        steps = []
+        for stages, next_end in spans[1:]:
+            steps.append((delay, self._boundary(at_end, stages)))
+            delay = charge(_total(stages), category=stages[0][0])
+            at_end = next_end
+        steps.append((delay, at_end))
+        return self.sim.burst(steps)
 
-    def stages_burst(self, pairs, boundary_fn, post_pairs):
-        """One core walk for two merged stage spans with a callback at
-        the boundary — the batched form of::
-
-            yield self.stages(pairs)
-            boundary_fn()
-            yield self.stages(post_pairs)
-
-        The whole walk costs one heap push and a single suspension of
-        the calling process.  Both spans are charged on the serial core
-        up front, which is legal because the firmware process is the
-        core's only submitter: the horizon advances exactly as if the
-        second span were charged at the boundary.  ``boundary_fn`` runs
-        at the exact boundary time, and the second span's cycle/obs
-        records are made there too, so wire timestamps, trace records,
-        and per-stage attribution are identical to the unbatched path.
-
-        Returns a walker the caller must ``yield``, or ``None`` when the
-        fast path does not apply (caller falls back to the plain form;
-        nothing has been charged or recorded).
-        """
-        if self.processor._busy:
-            return None
-        d_pre = self.stages(pairs)          # records pre-span cycles/obs now
-        total = 0.0
-        for _name, duration in post_pairs:
-            total += duration
-        d_post = self.processor.try_charge(total, category=post_pairs[0][0])
-        if d_post is None:  # pragma: no cover - eager queue, guarded above
-            return None
-
+    def _boundary(self, at_end, stages):
         def boundary():
-            boundary_fn()
-            cyc = self.cycles
-            if cyc.enabled:
-                for name, duration in post_pairs:
-                    cyc.record(name, duration)
-            rec = obs.RECORDER
-            if rec is not None:
-                track = f"{self.host.name}.{self.name}.core"
-                for name, duration in post_pairs:
-                    rec.complete("fw.stage", name, duration, track=track)
-                    rec.metrics.histogram(f"fw.stage_us.{name}").add(duration)
+            if at_end is not None:
+                at_end()
+            self._record(stages)
+        return boundary
 
-        return self.sim.burst(((d_pre, boundary), (d_post, None)))
+    def _record(self, stages) -> float:
+        """Cycle-counter and trace records for one span; returns its
+        total duration."""
+        total = self.cycles.record(stages)
+        rec = obs.RECORDER
+        if rec is not None:
+            track = self._core_track
+            for name, us in stages:
+                rec.complete("fw.stage", name, us, track=track)
+                rec.metrics.histogram(f"fw.stage_us.{name}").add(us)
+        return total
 
     def dma_to_host(self, nbytes: int, kind: str = "data") -> Event:
         self._dma_check(kind, nbytes)
@@ -241,9 +217,7 @@ class ProgrammableNic:
         a wedged firmware loop, an SRAM ECC scrub, a debug interrupt).
         All FSM stages queue behind it on the serial core."""
         self.stalls_injected += 1
-        if self.cycles.enabled:
-            self.cycles.record("fault_stall", duration)
-        return self.processor.submit_wait(duration, category="fault_stall")
+        return self.run(self.span(FAULT_STALL.sized(duration)))
 
     def wire_time(self, pkt: Packet) -> float:
         """Serialization time of a packet on the attached link."""

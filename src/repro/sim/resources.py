@@ -145,17 +145,13 @@ class WorkQueue:
     the general path and serializes after the horizon.
     ``tests/reference_paths.py`` runs whole workloads on the general
     path alone to hold the two to the same timestamps and tie order.
-
-    ``detailed=False`` turns off per-category accounting (the per-event
-    dict churn) for callers that only need total utilization.
     """
 
     def __init__(self, sim: Simulator, name: str = "cpu",
-                 eager: bool = False, detailed: bool = True):
+                 eager: bool = False):
         self.sim = sim
         self.name = name
         self.eager = eager
-        self.detailed = detailed
         self._heap: list = []
         self._seq = 0
         self._busy = False
@@ -209,8 +205,7 @@ class WorkQueue:
         now = self.sim.now
         horizon = self._busy_until
         busy_time = self.busy_time
-        by_cat = self.busy_by_category if self.detailed else None
-        cat_time = by_cat.get(category, 0.0) if by_cat is not None else 0.0
+        cat_time = self.busy_by_category.get(category, 0.0)
         count = 0
         while True:
             start = t + gap
@@ -229,8 +224,7 @@ class WorkQueue:
         if count:
             self._busy_until = horizon
             self.busy_time = busy_time
-            if by_cat is not None:
-                by_cat[category] = cat_time
+            self.busy_by_category[category] = cat_time
             self.items_completed += count
         return count, t, start
 
@@ -259,9 +253,8 @@ class WorkQueue:
                 finish = start + duration
                 self._busy_until = finish
                 self.busy_time += duration
-                if self.detailed:
-                    by_cat = self.busy_by_category
-                    by_cat[category] = by_cat.get(category, 0.0) + duration
+                by_cat = self.busy_by_category
+                by_cat[category] = by_cat.get(category, 0.0) + duration
                 self.items_completed += 1
                 # Fire via call_later → succeed so the waiter's resume
                 # order among same-time events is decided at completion
@@ -304,9 +297,8 @@ class WorkQueue:
                 finish = start + duration
                 self._busy_until = finish
                 self.busy_time += duration
-                if self.detailed:
-                    by_cat = self.busy_by_category
-                    by_cat[category] = by_cat.get(category, 0.0) + duration
+                by_cat = self.busy_by_category
+                by_cat[category] = by_cat.get(category, 0.0) + duration
                 self.items_completed += 1
                 return finish - now
         return self.submit(duration, category=category)
@@ -331,9 +323,8 @@ class WorkQueue:
                 finish = start + duration
                 self._busy_until = finish
                 self.busy_time += duration
-                if self.detailed:
-                    by_cat = self.busy_by_category
-                    by_cat[category] = by_cat.get(category, 0.0) + duration
+                by_cat = self.busy_by_category
+                by_cat[category] = by_cat.get(category, 0.0) + duration
                 self.items_completed += 1
                 return finish - now
         return None
@@ -370,9 +361,8 @@ class WorkQueue:
 
     def _complete(self, item: WorkItem) -> None:
         self.busy_time += item.duration
-        if self.detailed:
-            by_cat = self.busy_by_category
-            by_cat[item.category] = by_cat.get(item.category, 0.0) + item.duration
+        by_cat = self.busy_by_category
+        by_cat[item.category] = by_cat.get(item.category, 0.0) + item.duration
         self.items_completed += 1
         if item.fn is not None:
             item.fn()

@@ -28,7 +28,6 @@ import struct
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
-from repro.core.firmware import QpipFirmware
 from repro.hw.lanai import ProgrammableNic
 from repro.net.checksum import combine, finish
 from repro.net.headers.ip import IPv4Header, IPv6Header
@@ -214,19 +213,39 @@ def _try_charge(self, duration, category="work"):
     return None
 
 
-def _stages(self, pairs):
-    """``ProgrammableNic.stages`` as one core submission per stage."""
-    done = None
-    for name, duration in pairs:
-        self.record_stage(name, duration)
-        done = self.processor.submit(duration, category=name)
-    return done
+def _run(self, spans):
+    """``ProgrammableNic.run`` stepwise, as the firmware once drove it:
+    ``yield <span>; at_end(); yield <next span>; ...``.
 
+    Each stage is its own core submission, made when its span starts.
+    At the completion event of a span's last stage the span's ``at_end``
+    runs and the next span is submitted, and the caller resumes in the
+    pop of the final span's last completion, just as a process waiting
+    on that event would.  The returned event is never triggered: it only
+    carries the caller's resume callback to that completion.
+    """
+    waiter = Event(self.sim)
 
-def _no_burst(self, *_args):
-    """``stages_burst`` / ``_doorbell_burst`` declining: the caller
-    falls back to its plain one-stage-per-wake form."""
-    return None
+    def start(i):
+        stages, at_end = spans[i]
+        self._record(stages)
+        for name, us in stages:
+            done = self.processor.submit(us, category=name)
+        last = i + 1 == len(spans)
+
+        def end(event):
+            if at_end is not None:
+                at_end()
+            if not last:
+                start(i + 1)
+            else:
+                for resume in waiter.callbacks:
+                    resume(event)
+
+        done.callbacks.append(end)
+
+    start(0)
+    return waiter
 
 
 def _fill_output(self) -> bool:
@@ -267,9 +286,7 @@ PATCHES = (
     (WorkQueue, "submit", _submit),
     (WorkQueue, "submit_wait", _submit_wait),
     (WorkQueue, "try_charge", _try_charge),
-    (ProgrammableNic, "stages", _stages),
-    (ProgrammableNic, "stages_burst", _no_burst),
-    (QpipFirmware, "_doorbell_burst", _no_burst),
+    (ProgrammableNic, "run", _run),
     (TcpConnection, "_fill_output", _fill_output),
 )
 

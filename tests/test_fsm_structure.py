@@ -21,35 +21,21 @@ def sim():
 
 
 class StageRecorder:
-    """Wraps a ProgrammableNic's stage() to capture the dispatch order."""
+    """Wraps a ProgrammableNic's ``run`` to capture the dispatch order.
+
+    Logging at call time preserves order: every span of one ``run``
+    occupies the serial core contiguously, in the order given."""
 
     def __init__(self, nic):
         self.log = []
-        orig = nic.stage
-        orig_multi = nic.stages
-        orig_burst = nic.stages_burst
+        orig = nic.run
 
-        def stage(name, duration):
-            self.log.append(name)
-            return orig(name, duration)
+        def run(spans):
+            self.log.extend(name for stages, _at_end in spans
+                            for name, _us in stages)
+            return orig(spans)
 
-        def stages(pairs):
-            self.log.extend(name for name, _d in pairs)
-            return orig_multi(pairs)
-
-        def stages_burst(pairs, boundary_fn, post_pairs):
-            # Pre-span names are logged by the wrapped stages() inside
-            # the original; the post span charges the core directly, so
-            # log its names here.  The burst pass runs contiguously on
-            # the serial core, so call-time logging preserves order.
-            walk = orig_burst(pairs, boundary_fn, post_pairs)
-            if walk is not None:
-                self.log.extend(name for name, _d in post_pairs)
-            return walk
-
-        nic.stage = stage
-        nic.stages = stages
-        nic.stages_burst = stages_burst
+        nic.run = run
 
     def first_window(self, start_stage, stages):
         """The slice of the log beginning at the first ``start_stage``."""

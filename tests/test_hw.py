@@ -6,6 +6,7 @@ import pytest
 from repro.hw import (DumbNic, GmNic, Host, LanaiTiming, ProgrammableNic,
                       ib_class_timing, lanai_fw_checksum)
 from repro.hw.host import INTERRUPT_PRIORITY
+from repro.hw.stages import FAULT_STALL, GET_WR
 from repro.net.packet import Packet, ZeroPayload
 from repro.sim import Simulator
 
@@ -121,12 +122,14 @@ class TestInterruptThrottle:
 class TestProgrammableNicChassis:
     def test_cycle_counter_mean_and_reset(self, sim, host):
         nic = ProgrammableNic(sim, host)
-        nic.stage("x", 2.0)
-        nic.stage("x", 4.0)
+        nic.run(nic.span(GET_WR))
+        nic.run(nic.span(FAULT_STALL.sized(4.0)))
+        nic.run(nic.span(FAULT_STALL.sized(2.0)))
         sim.run()
-        assert nic.cycles.mean("x") == pytest.approx(3.0)
+        assert nic.cycles.mean("get_wr") == pytest.approx(5.5)
+        assert nic.cycles.mean("fault_stall") == pytest.approx(3.0)
         nic.reset_stats()
-        assert nic.cycles.mean("x") == 0.0
+        assert nic.cycles.mean("fault_stall") == 0.0
         assert nic.occupancy() == 0.0
 
     def test_doorbell_and_mgmt_wake_firmware(self, sim, host):

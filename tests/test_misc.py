@@ -110,10 +110,23 @@ class TestRunnersSmoke:
 
     def test_occupancy_structure(self):
         from repro.bench import run_occupancy_tables
+        from repro.bench.paper import TABLE2_TX, TABLE3_RX
         result = run_occupancy_tables(messages=10)
-        data, ack = result.stage_tx("Get WR")
-        assert data == pytest.approx(5.5)
-        assert ack is None
+        # Every row of both tables, data and ACK column, at the paper's
+        # value — including the ACK path's 14 µs TCP parse (software
+        # RTT-estimator multiplies) and 9 µs WR/QP state update — and
+        # "-" exactly where the paper has no entry.
+        for rows, paper in ((result.tx_rows, TABLE2_TX),
+                            (result.rx_rows, TABLE3_RX)):
+            assert [r[0] for r in rows] == list(paper)
+            for name, md, pd, ma, pa in rows:
+                assert (pd, pa) == paper[name]
+                assert md == pytest.approx(pd) if pd else md is None, name
+                assert ma == pytest.approx(pa) if pa else ma is None, name
+        assert result.stage_tx("Get WR") == (pytest.approx(5.5), None)
+        rx = {r[0]: r for r in result.rx_rows}
+        assert rx["TCP Parse"][3] == pytest.approx(14.0)
+        assert rx["Update"][3] == pytest.approx(9.0)
         assert "Table 2" in result.render() and "Table 3" in result.render()
 
     def test_fig7_structure(self):

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
-from ..collectives.group import COLLECTIVE_FLOW_BASE, peer_pairs
+from ..collectives.group import COLLECTIVE_FLOW_BASE
+from ..collectives.schedule import peer_pairs
 from ..collectives.runner import collective_rank_driver
 from ..core import QpipFirmware, QpipInterface
 from ..errors import ConfigError, ReproError
@@ -211,9 +212,8 @@ class ShardWorker:
                                       addr, hname)
         # Routes (pure table writes, no events).
         if self.spec.collective is not None:
-            coll = self.spec.collective
-            for r_a, r_b in peer_pairs(self.spec.hosts, coll.algo,
-                                       coll.variant):
+            for r_a, r_b in peer_pairs(self.spec.hosts,
+                                       self.spec.collective.variant):
                 a_name = self.bp.hosts[r_a][0]
                 b_name = self.bp.hosts[r_b][0]
                 if r_a in self.nodes:

@@ -9,8 +9,9 @@ framing:
 * **nic** (:mod:`repro.collectives.nicoffload`) — the schedule runs in
   firmware; the host doorbells once and receives a single CQE.
 
-Shared pieces: :mod:`~repro.collectives.group` (schedules, the one
-accumulation rule, numpy-free oracles), :mod:`~repro.collectives.frames`
+Shared pieces: :mod:`~repro.collectives.schedule` (the step table both
+engines interpret), :mod:`~repro.collectives.group` (the one
+accumulation rule, the numpy-free oracle), :mod:`~repro.collectives.frames`
 (the 18-byte wire header), :mod:`~repro.collectives.runner` (per-rank
 drivers shared by single-process and sharded runs), and
 :mod:`~repro.collectives.job` (the end-to-end runner).
@@ -19,20 +20,20 @@ drivers shared by single-process and sharded runs), and
 from .frames import HEADER_SIZE, decode_frame, encode_frame, max_frame_elems
 from .group import (ALGOS, COLLECTIVE_FLOW_BASE, COLLECTIVE_PORT, ELEM,
                     ENGINES, VARIANTS, CollectiveStats, CollectiveWorkSpec,
-                    allreduce_oracle, chunk_bounds, combine_into, peer_pairs,
-                    rank_vector, recursive_doubling_local,
-                    ring_allreduce_local)
+                    allreduce_oracle, combine_into, initial_vector,
+                    rank_vector)
 from .host import HostCollectiveMember
 from .job import (CollectiveJob, collective_cluster_spec, expected_digest,
                   summarize_collective)
-from .runner import collective_rank_driver, initial_vector, result_digest
+from .runner import collective_rank_driver, result_digest
+from .schedule import Step, chunk_bounds, peer_pairs, schedule
 
 __all__ = [
     "ALGOS", "ENGINES", "VARIANTS", "ELEM",
     "COLLECTIVE_FLOW_BASE", "COLLECTIVE_PORT",
     "CollectiveStats", "CollectiveWorkSpec",
-    "allreduce_oracle", "chunk_bounds", "combine_into", "peer_pairs",
-    "rank_vector", "ring_allreduce_local", "recursive_doubling_local",
+    "allreduce_oracle", "combine_into", "rank_vector",
+    "Step", "schedule", "chunk_bounds", "peer_pairs",
     "HEADER_SIZE", "encode_frame", "decode_frame", "max_frame_elems",
     "HostCollectiveMember",
     "CollectiveJob", "collective_cluster_spec", "expected_digest",

@@ -11,9 +11,10 @@ buffered by sequence, never dropped.
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from ..errors import NetworkError
+from .group import pack_vector
 
 # version, kind, algo, phase, group, seq, step, offset_elems, count_elems
 HEADER = struct.Struct("!BBBBHHHII")
@@ -31,10 +32,9 @@ KIND_NAMES = {KIND_DATA: "DATA", KIND_RTS: "RTS",
 ALGO_CODES = {"barrier": 0, "broadcast": 1, "allreduce": 2}
 ALGO_NAMES = {code: name for name, code in ALGO_CODES.items()}
 
-PHASE_REDUCE_SCATTER = 0
-PHASE_ALLGATHER = 1
-PHASE_NAMES = {PHASE_REDUCE_SCATTER: "reduce_scatter",
-               PHASE_ALLGATHER: "allgather"}
+# The header's phase byte for each schedule phase (repro.collectives.schedule).
+PHASE_CODES = {"reduce_scatter": 0, "allgather": 1, "rd_exchange": 0,
+               "broadcast": 0, "barrier": 0}
 
 # Transport budget: QPIP TCP's max message is the effective MSS
 # (mtu - 60 IP/TCP - 12 timestamp option); keep a small margin.
@@ -81,3 +81,32 @@ def decode_frame(data: bytes) -> Tuple[FrameHeader, bytes]:
             f"frame payload {len(payload)}B does not match count {count}")
     return FrameHeader(kind, algo, phase, group, seq, step, offset, count), \
         payload
+
+
+def step_frames(step, index: int, vector: Sequence[float], frame_elems: int,
+                algo: int, group: int, seq: int) -> List[bytes]:
+    """What schedule step ``index`` originates: one TOKEN frame for a
+    token step, else its ``send`` range of ``vector`` cut into DATA
+    frames of at most ``frame_elems`` elements."""
+    phase = PHASE_CODES[step.phase]
+    if step.op == "token":
+        return [encode_frame(KIND_TOKEN, algo, phase, group, seq, index, 0, 0)]
+    offset, count = step.send
+    end = offset + count
+    out = []
+    for off in range(offset, end, frame_elems):
+        stop = min(off + frame_elems, end)
+        out.append(encode_frame(KIND_DATA, algo, phase, group, seq, index,
+                                off, stop - off,
+                                pack_vector(vector[off:stop])))
+    return out
+
+
+def is_next_piece(hdr: FrameHeader, step, index: int, got: int) -> bool:
+    """The length check: is ``hdr`` the next piece of schedule step
+    ``index``'s ``recv`` range, ``got`` elements in?  (A token step
+    takes one zero-length TOKEN frame.)"""
+    offset, count = step.recv
+    kind = KIND_TOKEN if step.op == "token" else KIND_DATA
+    return (hdr.kind == kind and hdr.step == index
+            and hdr.offset == offset + got and hdr.count <= count - got)

@@ -1,33 +1,22 @@
-"""Collective group math: schedules, oracles, stats — no simulator deps.
+"""Collective group math: spec, oracle, stats — no simulator deps.
 
-Everything the two engines must agree on byte-for-byte lives here:
+Besides the schedule table (:mod:`repro.collectives.schedule`), what
+the two engines must agree on byte-for-byte lives here:
 
-* the ring reduce-scatter / allgather chunk schedule,
 * the single :func:`combine_into` accumulation rule (operand order is
   part of the contract — both engines produce bit-identical float64
   results for the same seed/vector because they share this function),
 * deterministic per-rank test vectors (:func:`rank_vector`) chosen
   integer-valued so float64 sums are exact in *any* association order,
   which is what lets the recursive-doubling variant match the oracle
-  bit-for-bit too,
-* pure in-memory executors (:func:`ring_allreduce_local`,
-  :func:`recursive_doubling_local`) used as numpy-free oracles by the
-  property tests.
-
-The ring schedule (bandwidth-optimal, Baidu/Horovod style): with world
-``N`` and the vector split into ``N`` chunks, reduce-scatter step
-``s ∈ [0, N-2]`` has rank ``r`` send chunk ``(r - s) mod N`` to rank
-``r+1`` and combine incoming chunk ``(r - s - 1) mod N`` from rank
-``r-1``; after ``N-1`` steps rank ``r`` owns the fully reduced chunk
-``(r + 1) mod N``.  Allgather step ``s`` sends chunk ``(r + 1 - s) mod
-N`` and overwrites incoming chunk ``(r - s) mod N``.
+  (:func:`allreduce_oracle`) bit-for-bit too.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence
 
 from ..errors import ConfigError
 
@@ -141,6 +130,15 @@ def rank_vector(rank: int, world: int, length: int, seed: int) -> List[float]:
             for i in range(length)]
 
 
+def initial_vector(spec: CollectiveWorkSpec, rank: int,
+                   world: int) -> List[float]:
+    """The rank's contribution: seeded values for allreduce (and for the
+    broadcast root), zeros elsewhere."""
+    if spec.algo == "allreduce" or rank == spec.root:
+        return rank_vector(rank, world, spec.vector_len, spec.seed)
+    return [0.0] * spec.vector_len
+
+
 def allreduce_oracle(world: int, length: int, seed: int) -> List[float]:
     """Element-wise sum of every rank's vector, folded in rank order."""
     acc = [0.0] * length
@@ -149,35 +147,6 @@ def allreduce_oracle(world: int, length: int, seed: int) -> List[float]:
         for i in range(length):
             acc[i] = acc[i] + contrib[i]
     return acc
-
-
-def chunk_bounds(length: int, world: int) -> List[Tuple[int, int]]:
-    """``(offset, count)`` for each of ``world`` chunks; remainder spread
-    over the leading chunks so sizes differ by at most one element."""
-    base, rem = divmod(length, world)
-    bounds: List[Tuple[int, int]] = []
-    offset = 0
-    for i in range(world):
-        count = base + (1 if i < rem else 0)
-        bounds.append((offset, count))
-        offset += count
-    return bounds
-
-
-def rs_send_chunk(rank: int, world: int, step: int) -> int:
-    return (rank - step) % world
-
-
-def rs_recv_chunk(rank: int, world: int, step: int) -> int:
-    return (rank - step - 1) % world
-
-
-def ag_send_chunk(rank: int, world: int, step: int) -> int:
-    return (rank + 1 - step) % world
-
-
-def ag_recv_chunk(rank: int, world: int, step: int) -> int:
-    return (rank - step) % world
 
 
 def combine_into(acc: List[float], offset: int,
@@ -189,70 +158,3 @@ def combine_into(acc: List[float], offset: int,
     """
     for i, value in enumerate(incoming):
         acc[offset + i] = value + acc[offset + i]
-
-
-def peer_pairs(world: int, algo: str = "allreduce",
-               variant: str = "ring") -> List[Tuple[int, int]]:
-    """Unordered rank pairs that exchange traffic, for route install."""
-    pairs: Set[Tuple[int, int]] = set()
-    if world < 2:
-        return []
-    if variant == "rd":
-        k = 1
-        while k < world:
-            for r in range(world):
-                p = r ^ k
-                pairs.add((min(r, p), max(r, p)))
-            k <<= 1
-    else:
-        for r in range(world):
-            p = (r + 1) % world
-            pairs.add((min(r, p), max(r, p)))
-    return sorted(pairs)
-
-
-def ring_allreduce_local(vectors: Sequence[Sequence[float]]) -> List[List[float]]:
-    """Pure in-memory execution of the ring schedule — the oracle the
-    property tests hold both simulated engines against."""
-    world = len(vectors)
-    if world == 0:
-        raise ConfigError("need at least one vector")
-    length = len(vectors[0])
-    accs = [list(v) for v in vectors]
-    if world == 1:
-        return accs
-    bounds = chunk_bounds(length, world)
-    for step in range(world - 1):
-        outgoing = []
-        for r in range(world):
-            off, cnt = bounds[rs_send_chunk(r, world, step)]
-            outgoing.append(accs[r][off:off + cnt])
-        for r in range(world):
-            chunk = rs_recv_chunk(r, world, step)
-            off, _cnt = bounds[chunk]
-            combine_into(accs[r], off, outgoing[(r - 1) % world])
-    for step in range(world - 1):
-        outgoing = []
-        for r in range(world):
-            off, cnt = bounds[ag_send_chunk(r, world, step)]
-            outgoing.append(accs[r][off:off + cnt])
-        for r in range(world):
-            chunk = ag_recv_chunk(r, world, step)
-            off, cnt = bounds[chunk]
-            accs[r][off:off + cnt] = outgoing[(r - 1) % world]
-    return accs
-
-
-def recursive_doubling_local(vectors: Sequence[Sequence[float]]) -> List[List[float]]:
-    """In-memory recursive doubling; world must be a power of two."""
-    world = len(vectors)
-    if world == 0 or world & (world - 1):
-        raise ConfigError("recursive doubling needs a power-of-two world")
-    accs = [list(v) for v in vectors]
-    k = 1
-    while k < world:
-        snapshot = [list(a) for a in accs]
-        for r in range(world):
-            combine_into(accs[r], 0, snapshot[r ^ k])
-        k <<= 1
-    return accs

@@ -1,36 +1,41 @@
 """Host-level collective engine: the schedule runs in the application.
 
-Every schedule step costs the full verbs round trip — build WR, post,
-doorbell, firmware send, remote CQE, host wakeup — times the number of
-steps.  That per-step host overhead is exactly what the NIC-offloaded
-engine (:mod:`repro.collectives.nicoffload`) eliminates, so comparing
-the two engines on the same fabric isolates the offload benefit.
+Every frame of every schedule step costs the full verbs round trip —
+build WR, post, doorbell, firmware send, remote CQE, host wakeup.  That
+per-step host overhead is exactly what the NIC-offloaded engine
+(:mod:`repro.collectives.nicoffload`) eliminates, so comparing the two
+engines on the same fabric isolates the offload benefit.
 
-Both engines speak the same wire framing (:mod:`repro.collectives.frames`)
-and share the one accumulation rule (:func:`repro.collectives.group.
-combine_into`), so for the same seed and vector their numerical results
-are bit-identical.
+Both engines interpret the same step table
+(:func:`repro.collectives.schedule.schedule`), speak the same wire
+framing (:mod:`repro.collectives.frames`) and share the one
+accumulation rule (:func:`repro.collectives.group.combine_into`), so
+for the same seed and vector their numerical results are
+bit-identical.  :meth:`HostCollectiveMember._execute` is the whole
+interpreter: per step, send the originated range, then receive the
+expected one frame by frame — combining, copying, or relaying it.  A
+frame outside the expected range raises :class:`ReproError` naming the
+rank and step, and the member aborts its links so its neighbours fail
+rather than hang.
 
-Two allreduce variants: the bandwidth-optimal chunked **ring**
-(reduce-scatter + allgather, the NIC engine's schedule) and
-**recursive doubling** (log₂ N full-vector exchanges, power-of-two
-worlds) — the latency-optimal layout small SAN clusters actually ran.
+The wiring depends on the variant: the **ring** joins each rank to its
+two neighbours by one QP per direction; **recursive doubling**
+(power-of-two worlds) opens one QP per round's partner.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence
 
 from .. import obs
 from ..core import QPTransport, WROpcode
 from ..errors import ReproError
 from ..net.addresses import Endpoint
 from . import frames
-from .group import (COLLECTIVE_FLOW_BASE, ELEM, CollectiveStats,
-                    CollectiveWorkSpec, ag_recv_chunk, ag_send_chunk,
-                    chunk_bounds, combine_into, pack_vector, rank_vector,
-                    rs_recv_chunk, rs_send_chunk, unpack_vector)
+from .group import (ELEM, CollectiveStats, CollectiveWorkSpec, combine_into,
+                    initial_vector, unpack_vector)
+from .schedule import Step, schedule
 
 # Host-side elementwise combine: a scalar float loop, slower than the
 # block memcpy rate (HostTiming.copy_per_byte, ~1/360 µs/B).
@@ -127,9 +132,10 @@ class HostCollectiveMember:
         self._send_bufs: Dict[int, List] = {}
         self._send_idx: Dict[int, int] = {}
         self.pump: Optional[_CollPump] = None
-        self.in_qp = None
-        self.out_qp = None
-        self._rd_qps: List = []
+        # Peer rank -> QP a schedule step sends to / receives from.
+        self._send_qps: Dict[int, object] = {}
+        self._recv_qps: Dict[int, object] = {}
+        self._qps: List = []
 
     # -- wiring --------------------------------------------------------------
 
@@ -163,27 +169,30 @@ class HostCollectiveMember:
     def _setup_ring(self) -> Generator:
         iface = self.iface
         right = (self.rank + 1) % self.world
-        self.in_qp = yield from iface.create_qp(QPTransport.TCP, self.cq,
-                                                max_recv_wr=64)
-        recv_bufs = yield from self._recv_ring(self.in_qp)
+        in_qp = yield from iface.create_qp(QPTransport.TCP, self.cq,
+                                           max_recv_wr=64)
+        recv_bufs = yield from self._recv_ring(in_qp)
         listener = yield from iface.listen(self.spec.port)
-        self.out_qp = yield from iface.create_qp(QPTransport.TCP, self.cq)
-        yield from self._alloc_send_bufs(self.out_qp)
+        out_qp = yield from iface.create_qp(QPTransport.TCP, self.cq)
+        yield from self._alloc_send_bufs(out_qp)
         accept_done = {}
 
         def acceptor():
-            yield from iface.accept(listener, self.in_qp)
+            yield from iface.accept(listener, in_qp)
             accept_done["ok"] = True
 
         acc = self.sim.process(acceptor())
         yield self.sim.timeout(1000.0 + 100.0 * self.rank)
-        yield from iface.connect(self.out_qp,
+        yield from iface.connect(out_qp,
                                  Endpoint(self.addrs[right], self.spec.port))
         yield acc
         if not accept_done.get("ok"):
             raise ReproError(f"rank {self.rank}: collective ring accept failed")
-        self.pump.add_qp(self.in_qp, recv_bufs)
-        self.pump.add_qp(self.out_qp, [])
+        self.pump.add_qp(in_qp, recv_bufs)
+        self.pump.add_qp(out_qp, [])
+        self._recv_qps[(self.rank - 1) % self.world] = in_qp
+        self._send_qps[right] = out_qp
+        self._qps = [in_qp, out_qp]
 
     def _setup_rd(self) -> Generator:
         """One QP per recursive-doubling round; the lower rank of each
@@ -194,14 +203,13 @@ class HostCollectiveMember:
         for k in range(rounds):
             if self.rank < self.rank ^ (1 << k):
                 listeners[k] = yield from iface.listen(self.spec.port + 1 + k)
-        self._rd_qps = []
         recv_rings = []
         for k in range(rounds):
             qp = yield from iface.create_qp(QPTransport.TCP, self.cq,
                                             max_recv_wr=64)
             recv_rings.append((yield from self._recv_ring(qp)))
             yield from self._alloc_send_bufs(qp)
-            self._rd_qps.append(qp)
+            self._qps.append(qp)
         accept_done = {}
 
         def acceptor(k, qp):
@@ -211,20 +219,22 @@ class HostCollectiveMember:
         procs = []
         for k in range(rounds):
             if k in listeners:
-                procs.append(self.sim.process(acceptor(k, self._rd_qps[k])))
+                procs.append(self.sim.process(acceptor(k, self._qps[k])))
         yield self.sim.timeout(1000.0 + 100.0 * self.rank)
         for k in range(rounds):
             partner = self.rank ^ (1 << k)
             if self.rank > partner:
                 yield from iface.connect(
-                    self._rd_qps[k],
+                    self._qps[k],
                     Endpoint(self.addrs[partner], self.spec.port + 1 + k))
         for p in procs:
             yield p
         if len(accept_done) != len(listeners):
             raise ReproError(f"rank {self.rank}: rd pair accept failed")
-        for qp, bufs in zip(self._rd_qps, recv_rings):
+        for k, (qp, bufs) in enumerate(zip(self._qps, recv_rings)):
             self.pump.add_qp(qp, bufs)
+            self._send_qps[self.rank ^ (1 << k)] = qp
+            self._recv_qps[self.rank ^ (1 << k)] = qp
 
     # -- framed send/recv ----------------------------------------------------
 
@@ -240,29 +250,6 @@ class HostCollectiveMember:
         self.pump.note_send(qp)
         self.stats.add_phase_bytes(phase, len(data))
 
-    def _recv_frame(self, qp, algo_code: int) -> Generator:
-        data = yield from self.pump.recv(qp)
-        if data is None:
-            raise ReproError(f"rank {self.rank}: collective link broken")
-        hdr, body = frames.decode_frame(data)
-        if hdr.group != self.group or hdr.algo != algo_code:
-            raise ReproError(
-                f"rank {self.rank}: unexpected collective frame {hdr}")
-        return hdr, body
-
-    def _data_frames(self, vector: Sequence[float], algo: int, phase: int,
-                     step: int, offset: int, count: int) -> List[bytes]:
-        out = []
-        done = 0
-        while done < count:
-            n = min(self._frame_elems, count - done)
-            off = offset + done
-            out.append(frames.encode_frame(
-                frames.KIND_DATA, algo, phase, self.group, 0, step, off, n,
-                pack_vector(vector[off:off + n])))
-            done += n
-        return out
-
     # -- collectives ---------------------------------------------------------
 
     def run(self, values: Optional[Sequence[float]] = None) -> Generator:
@@ -270,11 +257,10 @@ class HostCollectiveMember:
         (allreduce/broadcast) or None (barrier)."""
         spec = self.spec
         if values is None and spec.algo != "barrier":
-            if spec.algo == "allreduce" or self.rank == spec.root:
-                values = rank_vector(self.rank, self.world, spec.vector_len,
-                                     spec.seed)
-            else:
-                values = [0.0] * spec.vector_len
+            values = initial_vector(spec, self.rank, self.world)
+        acc = list(values or [])
+        steps = schedule(spec.algo, spec.variant, self.world, self.rank,
+                         len(acc), spec.root)
         t0 = self.sim.now
         rec = obs.RECORDER
         if rec is not None:
@@ -283,146 +269,87 @@ class HostCollectiveMember:
                       rank=self.rank, nelems=spec.vector_len,
                       engine="host")
             rec.metrics.counter("coll.ops_started").add()
-        if spec.algo == "barrier":
-            result = None
-            yield from self._barrier()
-        elif spec.algo == "broadcast":
-            result = yield from self._broadcast(values)
-        elif spec.variant == "rd":
-            result = yield from self._allreduce_rd(values)
-        else:
-            result = yield from self._allreduce_ring(values)
-        self.stats.wall_time_us += self.sim.now - t0
-        if rec is not None:
-            rec.metrics.counter("coll.ops_completed").add()
-        return result
-
-    def _allreduce_ring(self, values: Sequence[float]) -> Generator:
-        world, rank = self.world, self.rank
-        acc = list(values)
-        if world == 1 or not acc:
-            return acc
-        algo = frames.ALGO_CODES["allreduce"]
-        bounds = chunk_bounds(len(acc), world)
-        total = 2 * (world - 1)
-        self._begin_span("collective.reduce_scatter")
-        for step in range(total):
-            rs = step < world - 1
-            s = step if rs else step - (world - 1)
-            phase_code = (frames.PHASE_REDUCE_SCATTER if rs
-                          else frames.PHASE_ALLGATHER)
-            phase = frames.PHASE_NAMES[phase_code]
-            send_fn = rs_send_chunk if rs else ag_send_chunk
-            recv_fn = rs_recv_chunk if rs else ag_recv_chunk
-            send_off, send_cnt = bounds[send_fn(rank, world, s)]
-            recv_off, recv_cnt = bounds[recv_fn(rank, world, s)]
-            for data in self._data_frames(acc, algo, phase_code, step,
-                                          send_off, send_cnt):
-                yield from self._send_frame(self.out_qp, data, phase)
-            got = 0
-            while got < recv_cnt:
-                hdr, body = yield from self._recv_frame(self.in_qp, algo)
-                incoming = unpack_vector(body)
-                if rs:
-                    yield self.host.cpu.submit(
-                        HOST_COMBINE_PER_BYTE * len(body), "collective")
-                    combine_into(acc, hdr.offset, incoming)
-                else:
-                    yield self.host.cpu.submit(
-                        self.host.copy_cost(len(body)), "collective")
-                    acc[hdr.offset:hdr.offset + len(incoming)] = incoming
-                got += hdr.count
-            self.stats.steps += 1
-            if step == world - 2:
-                self._end_span("collective.reduce_scatter")
-                self._begin_span("collective.allgather")
-        self._end_span("collective.allgather")
-        return acc
-
-    def _allreduce_rd(self, values: Sequence[float]) -> Generator:
-        world, rank = self.world, self.rank
-        acc = list(values)
-        if world == 1 or not acc:
-            return acc
-        n = len(acc)
-        algo = frames.ALGO_CODES["allreduce"]
-        self._begin_span("collective.allreduce")
-        k, step = 1, 0
-        while k < world:
-            qp = self._rd_qps[step]
-            # Snapshot before combining: the partner must see this
-            # round's *input*, not a half-combined vector.
-            outgoing = acc[:]
-            for data in self._data_frames(outgoing, algo, 0, step, 0, n):
-                yield from self._send_frame(qp, data, "rd_exchange")
-            got = 0
-            while got < n:
-                hdr, body = yield from self._recv_frame(qp, algo)
-                yield self.host.cpu.submit(
-                    HOST_COMBINE_PER_BYTE * len(body), "collective")
-                combine_into(acc, hdr.offset, unpack_vector(body))
-                got += hdr.count
-            self.stats.steps += 1
-            k <<= 1
-            step += 1
-        self._end_span("collective.allreduce")
-        return acc
-
-    def _broadcast(self, values: Sequence[float]) -> Generator:
-        world, rank, root = self.world, self.rank, self.spec.root
-        acc = list(values)
-        n = len(acc)
-        if world == 1 or n == 0:
-            return acc
-        algo = frames.ALGO_CODES["broadcast"]
-        right = (rank + 1) % world
-        self._begin_span("collective.broadcast")
-        if rank == root:
-            for data in self._data_frames(acc, algo, 0, 0, 0, n):
-                yield from self._send_frame(self.out_qp, data, "broadcast")
-                self.stats.steps += 1
-        else:
-            got = 0
-            while got < n:
-                hdr, body = yield from self._recv_frame(self.in_qp, algo)
-                yield self.host.cpu.submit(
-                    self.host.copy_cost(len(body)), "collective")
-                incoming = unpack_vector(body)
-                acc[hdr.offset:hdr.offset + len(incoming)] = incoming
-                got += hdr.count
-                self.stats.steps += 1
-                if right != root:
-                    yield from self._send_frame(
-                        self.out_qp, frames.encode_frame(
-                            frames.KIND_DATA, algo, 0, self.group, 0,
-                            hdr.step, hdr.offset, hdr.count, body),
-                        "broadcast")
-        self._end_span("collective.broadcast")
-        return acc
-
-    def _barrier(self) -> Generator:
-        if self.world == 1:
-            return
-        algo = frames.ALGO_CODES["barrier"]
-        self._begin_span("collective.barrier")
-        for round_ in range(2):
-            if self.rank == 0:
-                yield from self._send_frame(self.out_qp, frames.encode_frame(
-                    frames.KIND_TOKEN, algo, 0, self.group, 0, round_, 0, 0),
-                    "barrier")
-                yield from self._recv_frame(self.in_qp, algo)
-            else:
-                hdr, _ = yield from self._recv_frame(self.in_qp, algo)
-                yield from self._send_frame(self.out_qp, frames.encode_frame(
-                    frames.KIND_TOKEN, algo, 0, self.group, 0, hdr.step,
-                    0, 0), "barrier")
-            self.stats.steps += 1
-        self._end_span("collective.barrier")
-        rec = obs.RECORDER
-        if rec is not None:
+        try:
+            yield from self._execute(steps, acc)
+        except ReproError:
+            # Abort every link so each neighbour fails too, not hangs.
+            for qp in self._qps:
+                yield from self.iface.destroy_qp(qp)
+            raise
+        if rec is not None and spec.algo == "barrier" and steps:
             rec.event("coll", "collective.barrier_release",
                       track=self._track(), group=self.group, seq=0,
                       rank=self.rank)
+        self.stats.wall_time_us += self.sim.now - t0
+        if rec is not None:
+            rec.metrics.counter("coll.ops_completed").add()
+        return None if spec.algo == "barrier" else acc
+
+    def _execute(self, steps: Sequence[Step], acc: List[float]) -> Generator:
+        """Interpret the schedule: one span per phase; per step, send the
+        originated range, then receive (and relay) the expected one."""
+        algo = frames.ALGO_CODES[self.spec.algo]
+        phase = None
+        for i, step in enumerate(steps):
+            if step.phase != phase:
+                if phase is not None:
+                    self._end_span(f"collective.{phase}")
+                phase = step.phase
+                self._begin_span(f"collective.{phase}")
+            if step.send is not None:
+                for data in frames.step_frames(step, i, acc,
+                                               self._frame_elems, algo,
+                                               self.group, 0):
+                    yield from self._send_frame(
+                        self._send_qps[step.send_to], data, phase)
+                    if step.op == "forward":
+                        self.stats.steps += 1
+            if step.recv is not None:
+                yield from self._receive(i, step, acc, algo)
+            if step.op != "forward":
+                self.stats.steps += 1
+        if phase is not None:
+            self._end_span(f"collective.{phase}")
+
+    def _receive(self, i: int, step: Step, acc: List[float],
+                 algo: int) -> Generator:
+        """Take step ``i``'s ``recv`` range frame by frame (a token step
+        takes one frame), relaying each onward when the step sends
+        nothing of its own."""
+        qp = self._recv_qps[step.recv_from]
+        relay = (self._send_qps[step.send_to]
+                 if step.send is None and step.send_to is not None else None)
+        off, cnt = step.recv
+        got = 0
+        token = step.op == "token"
+        while got < cnt or token:
+            data = yield from self.pump.recv(qp)
+            if data is None:
+                raise ReproError(f"rank {self.rank}: collective link broken")
+            hdr, body = frames.decode_frame(data)
+            if (hdr.group != self.group or hdr.algo != algo
+                    or not frames.is_next_piece(hdr, step, i, got)):
+                raise ReproError(
+                    f"rank {self.rank}: step {i} expects elements "
+                    f"[{off + got}, {off + cnt}), got {hdr}")
+            token = False
+            if body:
+                if step.op == "combine":
+                    yield self.host.cpu.submit(
+                        HOST_COMBINE_PER_BYTE * len(body), "collective")
+                    combine_into(acc, hdr.offset, unpack_vector(body))
+                else:
+                    yield self.host.cpu.submit(
+                        self.host.copy_cost(len(body)), "collective")
+                    acc[hdr.offset:hdr.offset + hdr.count] = \
+                        unpack_vector(body)
+            got += hdr.count
+            if step.op == "forward":
+                self.stats.steps += 1
+            if relay is not None:
+                yield from self._send_frame(relay, frames.encode_frame(
+                    hdr.kind, algo, hdr.phase, self.group, 0, hdr.step,
+                    hdr.offset, hdr.count, body), step.phase)
 
     # -- observability -------------------------------------------------------
 

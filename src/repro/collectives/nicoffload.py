@@ -1,11 +1,20 @@
 """NIC-offloaded collective engine: firmware-resident state machines.
 
 The host doorbells **once** per collective operation; the firmware DMAs
-the vector into NIC SRAM, runs the ring schedule entirely on the
-interface — forwarding and combining incoming frames as they arrive —
-and posts a **single CQE** when the operation completes.  Contrast with
-the host engine (:mod:`repro.collectives.host`) where every schedule
-step costs a host-side post, doorbell, CQE and wakeup.
+the vector into NIC SRAM, runs the schedule entirely on the interface —
+forwarding and combining incoming frames as they arrive — and posts a
+**single CQE** when the operation completes.  Contrast with the host
+engine (:mod:`repro.collectives.host`) where every schedule step costs
+a host-side post, doorbell, CQE and wakeup.
+
+Both engines interpret the same step table
+(:func:`repro.collectives.schedule.schedule`, ring variant here).
+:meth:`CollectiveUnit._pump` is this engine's whole interpreter: two
+cursors, the next step to send and the next step to receive; step ``i``
+goes out once step ``i-1``'s receive is complete, and every DATA or
+TOKEN frame must be the next piece of the step being received — any
+other ``(step, offset, count)`` fails the op with ``REMOTE_ABORTED`` and
+aborts the ring, so the neighbours fail the same way.
 
 Transport: each ring neighbor pair is joined by a firmware-internal TCP
 connection (the same on-NIC stack QPs use), so retransmission heals
@@ -26,11 +35,11 @@ cluster shardings.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .. import obs
-from ..errors import ConnectionReset, DmaError, VerbsError
+from ..errors import ConnectionReset, DmaError
 from ..mem import SGE, Access
 from ..net.addresses import Endpoint, IPv6Address
 from ..net.packet import BytesPayload
@@ -38,9 +47,9 @@ from ..core.firmware import (RDMA_WINDOW_CREDIT, FwEndpoint, QpipFirmware)
 from ..core.wr import Completion, WROpcode, WRStatus
 from ..hw.stages import COLL_COMBINE, COLL_FRAME, COLL_GET_WR
 from . import frames
-from .group import (ELEM, CollectiveStats, ag_recv_chunk, ag_send_chunk,
-                    chunk_bounds, combine_into, pack_vector, rs_recv_chunk,
-                    rs_send_chunk, unpack_vector)
+from .group import (ELEM, CollectiveStats, combine_into, pack_vector,
+                    unpack_vector)
+from .schedule import Step, schedule
 
 # Collective CQEs carry a synthetic qp_num so they can never collide
 # with real QP numbers in application-side bookkeeping.
@@ -103,15 +112,15 @@ class CollectiveUnit:
         self._frame_elems = frames.max_frame_elems(self.nic.mtu)
         self._get_wr_span = self.nic.span(COLL_GET_WR)
         self._frame_span = self.nic.span(COLL_FRAME)
-        # allreduce schedule cursors
+        # schedule cursors: next step to send, next step to receive, and
+        # elements of that receive taken so far
         self.acc: List[float] = []
-        self._bounds: List[Tuple[int, int]] = []
+        self._steps: Tuple[Step, ...] = ()
         self.send_idx = 0
         self.recv_idx = 0
         self.recv_got = 0
         self.rts_sent = False
         self.cts_granted = False
-        self.bcast_received = 0
         if config.world <= 1:
             self.ready = True
             fw._notify_host(done, config.group)
@@ -189,61 +198,28 @@ class CollectiveUnit:
                       group=self.config.group, seq=op.seq, algo=op.algo,
                       rank=self.config.rank, nelems=op.nelems)
             rec.metrics.counter("coll.ops_started").add()
-        world, rank = self.config.world, self.config.rank
-        if op.algo == "allreduce":
-            yield from self._start_allreduce(op)
-        elif op.algo == "broadcast":
-            yield from self._start_broadcast(op)
-        else:   # barrier
-            if world == 1:
-                yield from self._complete()
-                return
-            self._begin_span("collective.barrier")
-            if rank == 0:
-                self._queue_token(0)
-            yield from self._drain_stash()
-
-    def _start_allreduce(self, op: CollOp):
-        world, rank = self.config.world, self.config.rank
-        if op.nelems:
+        rank = self.config.rank
+        self._steps = schedule(op.algo, "ring", self.config.world, rank,
+                               op.nelems, op.root)
+        self.send_idx = self.recv_idx = self.recv_got = 0
+        self.rts_sent = self.cts_granted = False
+        # Allreduce ranks and the broadcast root feed in their vector.
+        if op.nelems and (op.algo == "allreduce" or (
+                op.algo == "broadcast" and rank == op.root and self._steps)):
             yield from self._dma_vector_in(op)
             if self.op is None:     # DMA/protection failure ended the op
                 return
         else:
-            self.acc = []
-        if world == 1 or op.nelems == 0:
-            # Degenerate: the reduction is this rank's own contribution
-            # (or empty).  No wire traffic.
-            yield from self._complete()
-            return
-        self._bounds = chunk_bounds(op.nelems, world)
-        self.send_idx = self.recv_idx = self.recv_got = 0
-        self.rts_sent = self.cts_granted = False
-        self._begin_span("collective.reduce_scatter")
-        self._pump_allreduce()
-        yield from self._drain_stash()
-        if self._allreduce_done():
-            yield from self._complete()
-
-    def _start_broadcast(self, op: CollOp):
-        world, rank = self.config.world, self.config.rank
-        if op.nelems == 0 or world == 1:
-            yield from self._complete()
-            return
-        self._begin_span("collective.broadcast")
-        if rank == op.root:
-            yield from self._dma_vector_in(op)
-            if self.op is None:
-                return
-            frames_out = self._data_frames(0, 0, 0, op.nelems)
-            for i, data in enumerate(frames_out):
-                last = i == len(frames_out) - 1
-                self._queue_frame(self.out_ep, data, "broadcast", notify=last)
-                self.stats.steps += 1
-        else:
             self.acc = [0.0] * op.nelems
-            self.bcast_received = 0
-            yield from self._drain_stash()
+        if not self._steps:
+            # Degenerate: one rank or an empty vector.  No wire traffic.
+            yield from self._complete()
+            return
+        self._begin_span(f"collective.{self._steps[0].phase}")
+        self._pump()
+        yield from self._drain_stash()
+        if self._done():
+            yield from self._complete()
 
     # -- receive path -------------------------------------------------------
 
@@ -273,14 +249,10 @@ class CollectiveUnit:
             yield from self._handle_frame(hdr, body)
 
     def _handle_frame(self, hdr: frames.FrameHeader, body: bytes):
-        op = self.op
-        algo_code = frames.ALGO_CODES[op.algo]
-        if hdr.algo != algo_code:
+        if hdr.algo != frames.ALGO_CODES[self.op.algo]:
             self._fail(WRStatus.REMOTE_ABORTED)
             return
-        if hdr.kind == frames.KIND_TOKEN:
-            yield from self._on_token(hdr)
-        elif hdr.kind == frames.KIND_RTS:
+        if hdr.kind == frames.KIND_RTS:
             # Grant immediately on the reverse path: the combine engine
             # consumes at line rate, admission is only a staging handshake.
             self._queue_frame(self.in_ep, frames.encode_frame(
@@ -288,47 +260,37 @@ class CollectiveUnit:
                 hdr.step, hdr.offset, hdr.count), "rendezvous")
         elif hdr.kind == frames.KIND_CTS:
             self.cts_granted = True
-            self._pump_allreduce()
-            if self._allreduce_done():
-                yield from self._complete()
-        elif op.algo == "allreduce":
-            yield from self._on_data_allreduce(hdr, body)
+            yield from self._advance()
         else:
-            yield from self._on_data_broadcast(hdr, body)
+            yield from self._on_arrival(hdr, body)
 
-    def _on_data_allreduce(self, hdr: frames.FrameHeader, body: bytes):
-        world = self.config.world
+    def _on_arrival(self, hdr: frames.FrameHeader, body: bytes):
+        """A DATA or TOKEN frame: it must be the next piece of the step
+        being received, else the op fails (and aborts the ring)."""
+        idx = self.recv_idx
+        step = self._steps[idx] if idx < len(self._steps) else None
+        if (step is None or step.recv is None
+                or not frames.is_next_piece(hdr, step, idx, self.recv_got)):
+            self._fail(WRStatus.REMOTE_ABORTED)
+            return
         if body:
             yield self._combine(body)
-        values = unpack_vector(body)
-        if self.recv_idx < world - 1:
-            combine_into(self.acc, hdr.offset, values)
-        else:
-            self.acc[hdr.offset:hdr.offset + len(values)] = values
+            values = unpack_vector(body)
+            if step.op == "combine":
+                combine_into(self.acc, hdr.offset, values)
+            else:
+                self.acc[hdr.offset:hdr.offset + hdr.count] = values
         self.recv_got += hdr.count
-        _off, expected = self._recv_chunk()
-        if self.recv_got >= expected:
+        if step.op == "forward":
+            self.stats.steps += 1
+        if step.send is None and step.send_to is not None:
+            self._queue_frame(self.out_ep, frames.encode_frame(
+                hdr.kind, hdr.algo, hdr.phase, hdr.group, hdr.seq,
+                hdr.step, hdr.offset, hdr.count, body), step.phase)
+        if self.recv_got >= step.recv[1]:
             self.recv_got = 0
             self._finish_recv_step()
-        self._pump_allreduce()
-        if self._allreduce_done():
-            yield from self._complete()
-
-    def _on_data_broadcast(self, hdr: frames.FrameHeader, body: bytes):
-        op = self.op
-        if body:
-            yield self._combine(body)
-        values = unpack_vector(body)
-        self.acc[hdr.offset:hdr.offset + len(values)] = values
-        self.bcast_received += hdr.count
-        self.stats.steps += 1
-        right = (self.config.rank + 1) % self.config.world
-        if right != op.root:
-            self._queue_frame(self.out_ep, frames.encode_frame(
-                frames.KIND_DATA, hdr.algo, hdr.phase, hdr.group, hdr.seq,
-                hdr.step, hdr.offset, hdr.count, body), "broadcast")
-        if self.bcast_received >= op.nelems:
-            yield from self._complete()
+        yield from self._advance()
 
     def _combine(self, body: bytes):
         """The firmware combine loop over one frame body (a core wait)."""
@@ -336,106 +298,81 @@ class CollectiveUnit:
         return self.nic.run(self.nic.span(
             COLL_COMBINE.sized(per_byte * len(body))))
 
-    def _on_token(self, hdr: frames.FrameHeader):
-        rank = self.config.rank
-        if rank == 0:
-            if hdr.step == 0:
-                self._queue_token(1)
-            else:
-                yield from self._complete()
-        else:
-            self._queue_token(hdr.step)
-            if hdr.step == 1:
-                yield from self._complete()
+    # -- schedule pump ------------------------------------------------------
 
-    # -- allreduce schedule -------------------------------------------------
+    def _advance(self):
+        self._pump()
+        if self._done():
+            yield from self._complete()
 
-    def _chunk_at(self, idx: int, recv: bool) -> Tuple[int, int]:
-        world, rank = self.config.world, self.config.rank
-        if idx < world - 1:
-            chunk = (rs_recv_chunk if recv else rs_send_chunk)(
-                rank, world, idx)
-        else:
-            chunk = (ag_recv_chunk if recv else ag_send_chunk)(
-                rank, world, idx - (world - 1))
-        return self._bounds[chunk]
-
-    def _recv_chunk(self) -> Tuple[int, int]:
-        return self._chunk_at(self.recv_idx, recv=True)
+    def _done(self) -> bool:
+        total = len(self._steps)
+        return (self.op is not None and self.recv_idx >= total
+                and self.send_idx >= total)
 
     def _finish_recv_step(self) -> None:
+        step = self._steps[self.recv_idx]
         self.recv_idx += 1
-        self.stats.steps += 1
-        if self.recv_idx == self.config.world - 1:
-            self._end_span("collective.reduce_scatter")
-            self._begin_span("collective.allgather")
+        if step.op != "forward":
+            self.stats.steps += 1
+        if (self.recv_idx < len(self._steps)
+                and self._steps[self.recv_idx].phase != step.phase):
+            self._end_span(f"collective.{step.phase}")
+            self._begin_span(f"collective.{self._steps[self.recv_idx].phase}")
 
-    def _pump_allreduce(self) -> None:
-        world = self.config.world
-        total = 2 * (world - 1)
+    def _pump(self) -> None:
+        """Move both cursors as far as the schedule allows: empty
+        receives finish at once; step ``i`` originates its range once
+        step ``i-1``'s receive is complete (a relaying step, once its own
+        receive is), above ``eager_threshold`` only after RTS/CTS."""
+        steps = self._steps
+        total = len(steps)
         progressed = True
         while progressed:
             progressed = False
             if self.recv_idx < total:
-                _off, cnt = self._recv_chunk()
-                if cnt == 0:
+                step = steps[self.recv_idx]
+                if (step.op != "token" and step.recv is not None
+                        and step.recv[1] == 0):
                     self._finish_recv_step()
                     progressed = True
                     continue
-            if self.send_idx < total and (
-                    self.send_idx == 0 or self.recv_idx >= self.send_idx):
-                off, cnt = self._chunk_at(self.send_idx, recv=False)
-                if cnt == 0:
+            i = self.send_idx
+            if i >= total or (i and self.recv_idx < i):
+                continue
+            step = steps[i]
+            if step.send is None:
+                if self.recv_idx > i:      # relayed on arrival
                     self._advance_send()
                     progressed = True
-                elif (cnt * ELEM > self.config.eager_threshold
-                        and not self.cts_granted):
-                    if not self.rts_sent:
-                        self._queue_frame(self.out_ep, frames.encode_frame(
-                            frames.KIND_RTS,
-                            frames.ALGO_CODES["allreduce"],
-                            self._send_phase(), self.config.group,
-                            self.op.seq, self.send_idx, off, cnt),
-                            "rendezvous")
-                        self.rts_sent = True
-                else:
-                    phase_name = frames.PHASE_NAMES[self._send_phase()]
-                    for data in self._data_frames(
-                            self._send_phase(), self.send_idx, off, cnt):
-                        self._queue_frame(self.out_ep, data, phase_name)
-                    self._advance_send()
-                    progressed = True
-
-    def _send_phase(self) -> int:
-        return (frames.PHASE_REDUCE_SCATTER
-                if self.send_idx < self.config.world - 1
-                else frames.PHASE_ALLGATHER)
+                continue
+            off, cnt = step.send
+            algo = frames.ALGO_CODES[self.op.algo]
+            if (step.op != "forward" and cnt * ELEM
+                    > self.config.eager_threshold and not self.cts_granted):
+                if not self.rts_sent:
+                    self._queue_frame(self.out_ep, frames.encode_frame(
+                        frames.KIND_RTS, algo, frames.PHASE_CODES[step.phase],
+                        self.config.group, self.op.seq, i, off, cnt),
+                        "rendezvous")
+                    self.rts_sent = True
+                continue
+            out = frames.step_frames(step, i, self.acc, self._frame_elems,
+                                     algo, self.config.group, self.op.seq)
+            for j, data in enumerate(out):
+                # A send-only step is over when its last frame leaves.
+                self._queue_frame(self.out_ep, data, step.phase,
+                                  notify=step.recv is None
+                                  and j == len(out) - 1)
+                if step.op == "forward":
+                    self.stats.steps += 1
+            self._advance_send()
+            progressed = True
 
     def _advance_send(self) -> None:
         self.send_idx += 1
         self.rts_sent = False
         self.cts_granted = False
-
-    def _allreduce_done(self) -> bool:
-        total = 2 * (self.config.world - 1)
-        return (self.op is not None and self.op.algo == "allreduce"
-                and self.recv_idx >= total and self.send_idx >= total)
-
-    def _data_frames(self, phase: int, step: int, offset: int,
-                     count: int) -> List[bytes]:
-        """Fragment ``count`` elements at ``offset`` into DATA frames."""
-        op = self.op
-        out: List[bytes] = []
-        done = 0
-        while done < count:
-            n = min(self._frame_elems, count - done)
-            off = offset + done
-            out.append(frames.encode_frame(
-                frames.KIND_DATA, frames.ALGO_CODES[op.algo], phase,
-                self.config.group, op.seq, step, off, n,
-                pack_vector(self.acc[off:off + n])))
-            done += n
-        return out
 
     # -- transmit side ------------------------------------------------------
 
@@ -450,12 +387,6 @@ class CollectiveUnit:
         # stats snapshot the completing CQE triggers.
         self.stats.add_phase_bytes(phase, len(data))
         self.fw._queue_tx(ep)
-
-    def _queue_token(self, round_: int) -> None:
-        self._queue_frame(self.out_ep, frames.encode_frame(
-            frames.KIND_TOKEN, frames.ALGO_CODES["barrier"], 0,
-            self.config.group, self.op.seq, round_, 0, 0), "barrier")
-        self.stats.steps += 1
 
     def has_pending(self, ep: FwEndpoint) -> bool:
         return bool(self._pending.get(ep))
@@ -476,7 +407,8 @@ class CollectiveUnit:
         # ACK bookkeeping is charged via "send_done"; no CQE (wr=None).
         ep.msg_map[msg_id] = None
         if notify and self.op is not None:
-            yield from self._complete()
+            self._finish_recv_step()
+            yield from self._advance()
 
     # -- completion / failure ----------------------------------------------
 
@@ -526,12 +458,8 @@ class CollectiveUnit:
             if not t.overlap_dma:
                 yield dma
             region.aspace.write(op.sge.addr, data)
-        if op.algo == "allreduce" and self.config.world > 1 and op.nelems:
-            self._end_span("collective.allgather")
-        elif op.algo == "broadcast" and self.config.world > 1 and op.nelems:
-            self._end_span("collective.broadcast")
-        elif op.algo == "barrier" and self.config.world > 1:
-            self._end_span("collective.barrier")
+        if self._steps:
+            self._end_span(f"collective.{self._steps[-1].phase}")
         rec = obs.RECORDER
         if rec is not None:
             if op.algo == "barrier":
@@ -541,7 +469,6 @@ class CollectiveUnit:
             rec.metrics.counter("coll.ops_completed").add()
         self.stats.wall_time_us += self.sim.now - self._op_started
         self.op = None
-        self.acc = [] if op.algo == "barrier" else self.acc
         self._post_op_cqe(op, WRStatus.SUCCESS)
         if self.host_ring:
             self.fw._push_action(("coll_start", self))

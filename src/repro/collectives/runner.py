@@ -11,13 +11,13 @@ against the pure oracle.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, Optional, Sequence
 
 from ..core import WROpcode
 from ..net.addresses import IPv6Address
 from ..tools.inspect import stable_digest
-from .group import (ELEM, CollectiveStats, CollectiveWorkSpec, pack_vector,
-                    rank_vector, unpack_vector)
+from .group import (ELEM, CollectiveStats, CollectiveWorkSpec,
+                    initial_vector, pack_vector, unpack_vector)
 from .host import HostCollectiveMember
 
 
@@ -41,15 +41,6 @@ def _fill_record(record: Dict, sim, spec: CollectiveWorkSpec, rank: int,
     record["result_digest"] = result_digest(vec)
     record["stats"] = stats.to_dict()
     record["done_at"] = sim.now
-
-
-def initial_vector(spec: CollectiveWorkSpec, rank: int,
-                   world: int) -> List[float]:
-    """The rank's contribution: seeded values for allreduce (and for the
-    broadcast root), zeros elsewhere."""
-    if spec.algo == "allreduce" or rank == spec.root:
-        return rank_vector(rank, world, spec.vector_len, spec.seed)
-    return [0.0] * spec.vector_len
 
 
 def _host_rank(sim, node, rank: int, world: int, spec: CollectiveWorkSpec,

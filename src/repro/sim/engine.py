@@ -554,60 +554,6 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def _step(self) -> None:
-        heap = self._heap
-        _time, _seq, item = heapq.heappop(heap)
-        self.now = _time
-        kind = type(item)
-        if kind is _ProcWake:
-            if item.cancelled:
-                return
-            if not item.fired and heap and heap[0][0] == _time:
-                item.fired = True
-                self._seq += 1
-                heapq.heappush(heap, (_time, self._seq, item))
-                return
-            item.fired = False
-            self._events_processed += 1
-            item.proc._resume(_WAKE_VALUE)
-            return
-        if kind is _BurstWalk:
-            if item.cancelled:
-                return
-            if not item.fired and heap and heap[0][0] == _time:
-                item.fired = True
-                self._seq += 1
-                heapq.heappush(heap, (_time, self._seq, item))
-                return
-            item.fired = False
-            self._events_processed += 1
-            idx = item.idx
-            item.idx = idx + 1
-            fn = item.fns[idx]
-            if fn is not None:
-                fn()
-            if item.idx < len(item.fns):
-                self._seq += 1
-                heapq.heappush(heap, (item.times[item.idx], self._seq, item))
-            elif item.proc is not None:
-                proc, item.proc = item.proc, None
-                proc._resume(_WAKE_VALUE)
-            return
-        if kind is _CallbackHandle:
-            if not item.cancelled:
-                item._fn(*item._args)
-            elif self._dead_handles > 0:
-                self._dead_handles -= 1
-            return
-        # item is an Event whose callbacks are due.
-        event: Event = item
-        callbacks, event.callbacks = event.callbacks, None
-        for cb in callbacks:
-            cb(event)
-        self._events_processed += 1
-        if not event._ok and not event._defused and not callbacks:
-            raise event._value
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or budget spent.
 
@@ -615,9 +561,10 @@ class Simulator:
         exactly ``until`` if the run stops there.
         """
         budget = max_events
-        # The _step body is inlined here: at tens of thousands of events
-        # per run the method-call overhead is measurable.  _compact
-        # rewrites the heap in place, so the local binding stays valid.
+        # The dispatch body is inlined here (and in run_window) rather
+        # than a per-event method: at tens of thousands of events per
+        # run the call overhead is measurable.  _compact rewrites the
+        # heap in place, so the local binding stays valid.
         heap = self._heap
         pop = heapq.heappop
         push = heapq.heappush

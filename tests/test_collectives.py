@@ -9,15 +9,17 @@ step) on latency.
 
 import pytest
 
+from collective_refs import recursive_doubling_local, ring_allreduce_local
 from repro import obs
-from repro.bench.configs import build_qpip_cluster
-from repro.collectives import (CollectiveWorkSpec, allreduce_oracle,
+from repro.bench.configs import build_qpip_cluster, build_qpip_pair
+from repro.collectives import (COLLECTIVE_PORT, ELEM, CollectiveWorkSpec,
+                               HostCollectiveMember, allreduce_oracle,
                                chunk_bounds, collective_rank_driver,
                                decode_frame, encode_frame, max_frame_elems,
-                               peer_pairs, rank_vector,
-                               recursive_doubling_local, result_digest,
-                               ring_allreduce_local)
-from repro.errors import ConfigError, NetworkError
+                               peer_pairs, rank_vector, result_digest)
+from repro.collectives.group import pack_vector
+from repro.core import WROpcode, WRStatus
+from repro.errors import ConfigError, NetworkError, ReproError
 from repro.obs import TraceQuery
 from repro.sim import Simulator
 
@@ -236,6 +238,78 @@ class TestEnginesAgree:
         for rank in range(world):
             assert records[rank]["result_digest"] == expected
             assert records[rank]["stats"]["steps"] == 3    # log2(8)
+
+
+class TestVectorLengthMismatch:
+    """Two ranks posting different lengths: every frame is checked
+    against the range the receiver's own schedule expects, so both ranks
+    fail cleanly — no crash out of the kernel, no hang."""
+
+    def _nic(self, n0, n1):
+        sim = Simulator()
+        a, b, _fabric = build_qpip_pair(sim)
+        statuses = {}
+
+        def rank(node, r, n, peer):
+            iface = node.iface
+            cq = yield from iface.create_cq()
+            buf = yield from iface.register_memory(n * ELEM)
+            buf.write(pack_vector([float(r + 1)] * n))
+            yield from iface.coll_create(0, r, 2, peer.addr,
+                                         COLLECTIVE_PORT, cq)
+            yield from iface.coll_post(0, "allreduce", n,
+                                       buf.sge(0, n * ELEM))
+            while r not in statuses:
+                for cqe in (yield from iface.wait(cq)):
+                    if cqe.opcode is WROpcode.COLLECTIVE:
+                        statuses[r] = cqe.status
+
+        sim.process(rank(a, 0, n0, b))
+        sim.process(rank(b, 1, n1, a))
+        sim.run(until=60_000_000)
+        return statuses
+
+    def _host(self, n0, n1):
+        sim = Simulator()
+        nodes, _fabric = build_qpip_cluster(sim, 2)
+        addrs = [node.addr for node in nodes]
+        spec = CollectiveWorkSpec(engine="host")
+        outcome = {}
+
+        def rank(r, n):
+            member = HostCollectiveMember(nodes[r], r, addrs, spec)
+            yield from member.setup()
+            try:
+                outcome[r] = yield from member.run([float(r + 1)] * n)
+            except ReproError as exc:
+                outcome[r] = exc
+
+        sim.process(rank(0, n0))
+        sim.process(rank(1, n1))
+        sim.run(until=60_000_000)
+        return outcome
+
+    def test_nic_short_against_long(self):
+        assert self._nic(4, 8) == {0: WRStatus.REMOTE_ABORTED,
+                                   1: WRStatus.REMOTE_ABORTED}
+
+    def test_nic_long_against_short(self):
+        assert self._nic(8, 4) == {0: WRStatus.REMOTE_ABORTED,
+                                   1: WRStatus.REMOTE_ABORTED}
+
+    def test_host_long_against_short(self):
+        outcome = self._host(8, 4)
+        assert sorted(outcome) == [0, 1]
+        for r in (0, 1):
+            assert isinstance(outcome[r], ReproError), outcome
+            assert f"rank {r}: step 0" in str(outcome[r])
+
+    def test_host_short_against_long(self):
+        outcome = self._host(4, 8)
+        assert sorted(outcome) == [0, 1]
+        assert isinstance(outcome[0], ReproError), outcome
+        assert "rank 0: step 0" in str(outcome[0])
+        assert isinstance(outcome[1], ReproError), outcome
 
 
 class TestObsSpans:

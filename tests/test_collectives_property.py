@@ -1,8 +1,8 @@
 """Property tests for the collective schedules and accumulation rule.
 
-The pure in-memory executors (`ring_allreduce_local`,
-`recursive_doubling_local`) are the oracles the simulated engines are
-held against elsewhere; here hypothesis holds *them* against the naive
+The test-side in-memory executors (`collective_refs.ring_allreduce_local`,
+`recursive_doubling_local`) are the references the schedule interpreter
+is held against elsewhere; here hypothesis holds *them* against the naive
 element-wise sum across world sizes 2..32 and arbitrary lengths —
 including odd, prime, shorter-than-world, and empty vectors.  The test
 vectors are integer-valued (`rank_vector`'s contract), so float64 sums
@@ -13,9 +13,8 @@ not approx.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives import (allreduce_oracle, chunk_bounds,
-                               rank_vector, recursive_doubling_local,
-                               ring_allreduce_local)
+from collective_refs import recursive_doubling_local, ring_allreduce_local
+from repro.collectives import allreduce_oracle, chunk_bounds, rank_vector
 
 
 @settings(max_examples=60, deadline=None)

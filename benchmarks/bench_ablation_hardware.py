@@ -9,7 +9,7 @@ RTT drops to SAN scale (~10 µs) and throughput approaches the wire.
 
 from conftest import save_report
 
-from repro.bench import run_hw_ablation
+from repro.bench.runners import run_hw_ablation
 
 
 def _run():

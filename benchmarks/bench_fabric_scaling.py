@@ -9,7 +9,7 @@ switch itself saturates).
 
 from conftest import save_report
 
-from repro.bench import run_fabric_scaling
+from repro.bench.runners import run_fabric_scaling
 
 
 def _run():

@@ -7,7 +7,7 @@ everywhere, and magnitudes sit in the paper's ~70–140 µs band.
 
 from conftest import save_report
 
-from repro.bench import run_fig3
+from repro.bench.runners import run_fig3
 
 
 def _run():

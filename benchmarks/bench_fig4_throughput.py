@@ -7,7 +7,7 @@ socket stacks burn.
 
 from conftest import save_report
 
-from repro.bench import run_fig4
+from repro.bench.runners import run_fig4
 
 
 def _run():

@@ -9,7 +9,7 @@ on every system, and filesystem work keeps a hefty CPU floor everywhere.
 
 from conftest import save_report
 
-from repro.bench import run_fig7
+from repro.bench.runners import run_fig7
 from repro.bench.paper import NBD_FS_FLOOR
 
 

@@ -9,7 +9,7 @@ small n_1/2 is what the QP interface buys).
 
 from conftest import save_report
 
-from repro.bench import run_msgsize_sweep
+from repro.bench.runners import run_msgsize_sweep
 
 
 def _run():

@@ -8,7 +8,7 @@ outperforms the IP over Myrinet case at 70.1 MB/sec."
 
 from conftest import save_report
 
-from repro.bench import run_fig4, run_mtu_sweep
+from repro.bench.runners import run_fig4, run_mtu_sweep
 
 
 def _run():

@@ -7,7 +7,7 @@ needs ~a tenth of the host cycles.
 
 from conftest import save_report
 
-from repro.bench import run_table1
+from repro.bench.runners import run_table1
 
 
 def _run():

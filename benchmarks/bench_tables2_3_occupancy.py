@@ -10,7 +10,7 @@ FSM stage runs where the paper says it runs — is asserted in tier-1 by
 
 from conftest import save_report
 
-from repro.bench import run_occupancy_tables
+from repro.bench.runners import run_occupancy_tables
 
 
 def _run():

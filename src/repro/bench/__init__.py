@@ -1,21 +1,15 @@
-"""Experiment harness: testbeds, runners, and paper reference values."""
+"""Experiment harness: testbeds, runners, and paper reference values.
+
+The package re-exports the testbed builders only.  The paper-figure
+runners live in :mod:`repro.bench.runners` and are imported from there
+(``from repro.bench.runners import run_fig3``), so a process that builds
+a testbed does not load every figure's workloads with it.
+"""
 
 from .configs import (HostNode, QpipNode, build_gige_pair, build_gm_pair,
                       build_interop_pair, build_qpip_cluster, build_qpip_pair)
-from .runners import (Fig3Result, Fig4Result, Fig7Result, HwAblationResult,
-                      MsgSizeSweepResult, MtuSweepResult, OccupancyResult,
-                      ScalingResult,
-                      Table1Result, run_fig3, run_fig4, run_fig7,
-                      run_fabric_scaling, run_hw_ablation, run_msgsize_sweep,
-                      run_mtu_sweep,
-                      run_occupancy_tables, run_table1)
 
 __all__ = [
     "HostNode", "QpipNode", "build_gige_pair", "build_gm_pair",
-    "build_interop_pair", "build_qpip_cluster", "build_qpip_pair", "Fig3Result", "Fig4Result", "Fig7Result",
-    "HwAblationResult", "MtuSweepResult", "OccupancyResult", "Table1Result",
-    "MsgSizeSweepResult", "run_msgsize_sweep", "ScalingResult",
-    "run_fabric_scaling",
-    "run_fig3", "run_fig4", "run_fig7", "run_hw_ablation", "run_mtu_sweep",
-    "run_occupancy_tables", "run_table1",
+    "build_interop_pair", "build_qpip_cluster", "build_qpip_pair",
 ]

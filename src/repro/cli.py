@@ -30,30 +30,36 @@ import argparse
 import sys
 import time
 
-from .bench import (run_fabric_scaling, run_fig3, run_fig4, run_fig7,
-                    run_hw_ablation, run_msgsize_sweep, run_mtu_sweep,
-                    run_occupancy_tables, run_table1)
 from .units import MB
+
+
+def _render(runner: str, **kwargs) -> str:
+    """Run one paper-figure runner and render its table.  The runners
+    module is imported here, on first use, so the other commands never
+    load every figure's workloads."""
+    from .bench import runners
+    return getattr(runners, runner)(**kwargs).render()
+
 
 EXPERIMENTS = {
     "fig3": ("Figure 3: application-to-application RTT",
-             lambda args: run_fig3().render()),
+             lambda args: _render("run_fig3")),
     "fig4": ("Figure 4: ttcp throughput + CPU utilization",
-             lambda args: run_fig4().render()),
+             lambda args: _render("run_fig4")),
     "mtu": ("Figure 4 text: QPIP MTU sweep + checksum variant",
-            lambda args: run_mtu_sweep().render()),
+            lambda args: _render("run_mtu_sweep")),
     "table1": ("Table 1: host overhead (1-byte TCP message)",
-               lambda args: run_table1().render()),
+               lambda args: _render("run_table1")),
     "tables23": ("Tables 2 & 3: NIC occupancy per stage",
-                 lambda args: run_occupancy_tables().render()),
+                 lambda args: _render("run_occupancy_tables")),
     "fig7": ("Figure 7: NBD throughput + CPU effectiveness",
-             lambda args: run_fig7(total_bytes=args.mb * MB).render()),
+             lambda args: _render("run_fig7", total_bytes=args.mb * MB)),
     "ablation": ("§5.2: Infiniband-class hardware applied to QPIP",
-                 lambda args: run_hw_ablation().render()),
+                 lambda args: _render("run_hw_ablation")),
     "msgsize": ("QPIP latency/bandwidth vs message size (n1/2)",
-                lambda args: run_msgsize_sweep().render()),
+                lambda args: _render("run_msgsize_sweep")),
     "scaling": ("Aggregate throughput vs concurrent pairs (§1 claim)",
-                lambda args: run_fabric_scaling().render()),
+                lambda args: _render("run_fabric_scaling")),
 }
 
 
@@ -327,6 +333,10 @@ def run_trace_cmd(args) -> int:
         total_bytes=args.bytes, chunk=args.chunk,
         iterations=args.iterations, msg_size=args.msg_size,
         write_artifacts=write)
+    if summary["dropped_events"]:
+        print(f"repro {args.command}: warning: the trace recorder was full "
+              f"and dropped {summary['dropped_events']:,} events",
+              file=sys.stderr)
     if args.json:
         print(_json.dumps(summary, indent=2, sort_keys=True))
         return 0

@@ -81,7 +81,10 @@ class TraceRecorder:
 
     def _append(self, ev: TraceEvent) -> None:
         if len(self.records) >= self.capacity:
+            # The counter is created by the first drop, so a run that
+            # drops nothing (every gate golden) gains no metrics key.
             self.dropped += 1
+            self.metrics.counter("obs.dropped_events").add()
             return
         self.records.append(ev)
 

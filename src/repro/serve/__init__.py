@@ -16,7 +16,10 @@ The pieces (each its own module, each independently testable):
   ``Retry-After`` load shedding;
 * :mod:`~repro.serve.supervisor` — forked attempts, backoff restarts,
   deadline escalation, poison-job quarantine;
-* :mod:`~repro.serve.server` — the HTTP front end, drain, recovery;
+* :mod:`~repro.serve.server` — request routing, drain, recovery;
+* :mod:`~repro.serve.httpd` — the HTTP binding, imported when a
+  :class:`ReproServer` is built, so importing this package loads no
+  HTTP stack;
 * :mod:`~repro.serve.client` / :mod:`~repro.serve.loadgen` — the API
   client and the open-loop Poisson load generator.
 

@@ -2,14 +2,15 @@
 
 Used by ``repro serve submit``/``status``, the Poisson load generator,
 the CI smoke test, and the chaos tests — one implementation of the
-JSON-over-HTTP contract instead of four.
+JSON-over-HTTP contract instead of four.  ``http.client`` (and with it
+``email.*`` and ``ssl``) is imported by the first request, not by
+importing this module.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from http.client import HTTPConnection
 from typing import Dict, Optional, Tuple
 from urllib.parse import urlparse
 
@@ -33,13 +34,21 @@ class ServeClient:
         if parsed.scheme != "http" or not parsed.hostname:
             raise ReproError(f"serve url must be http://host:port, "
                              f"got {url!r}")
+        try:
+            port = parsed.port
+        except ValueError as exc:       # non-numeric or out of range
+            raise ReproError(f"serve url {url!r}: {exc}") from exc
         self.host = parsed.hostname
-        self.port = parsed.port or 80
+        self.port = port or 80
         self.timeout_s = timeout_s
 
     def request(self, method: str, path: str,
                 body: Optional[Dict] = None) -> Tuple[int, Dict, Dict]:
-        """Returns (status, parsed JSON body, response headers)."""
+        """Returns (status, parsed JSON body, response headers).
+
+        Every transport failure — no connection, a reply that is not
+        HTTP, a body cut short — raises :class:`ServeUnavailable`."""
+        from http.client import HTTPConnection, HTTPException
         conn = HTTPConnection(self.host, self.port,
                               timeout=self.timeout_s)
         try:
@@ -55,7 +64,7 @@ class ServeClient:
             except json.JSONDecodeError:
                 data = {"ok": False, "raw": raw.decode(errors="replace")}
             return resp.status, data, dict(resp.getheaders())
-        except (ConnectionError, OSError) as exc:
+        except (OSError, HTTPException) as exc:
             raise ServeUnavailable(
                 f"{method} {self.host}:{self.port}{path}: {exc}") from exc
         finally:

@@ -33,7 +33,6 @@ import json
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -67,10 +66,8 @@ class ReproServer:
         self._stopped = False
         self._submit_lock = threading.Lock()
         self._recover()
-        self.http = ThreadingHTTPServer((config.host, config.port),
-                                        _Handler)
-        self.http.daemon_threads = True
-        self.http.repro = self
+        from .httpd import bind     # the HTTP stack loads only to serve
+        self.http = bind(self, config.host, config.port)
         self._http_thread: Optional[threading.Thread] = None
 
     # -- boot recovery ---------------------------------------------------
@@ -271,43 +268,3 @@ class ReproServer:
 
 def _err(kind: str, message: str, **extra) -> Dict:
     return {"ok": False, "error": job_error(kind, message, **extra)}
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve/1"
-
-    def log_message(self, *args) -> None:    # quiet: metrics, not stderr
-        pass
-
-    def _dispatch(self, method: str) -> None:
-        body = None
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            body = self.rfile.read(length)
-        try:
-            code, payload, headers = self.server.repro.handle(
-                method, self.path, body)
-        except Exception as exc:   # noqa: BLE001 - the 500 boundary
-            code, payload, headers = 500, _err(
-                "internal", f"{type(exc).__name__}: {exc}"), {}
-        data = json.dumps(payload, sort_keys=True).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def do_PUT(self) -> None:        # JSON 405, not http.server's
-        self._dispatch("PUT")        # HTML 501
-
-    def do_DELETE(self) -> None:
-        self._dispatch("DELETE")

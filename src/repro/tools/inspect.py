@@ -6,7 +6,6 @@ system — purely observational.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict, Iterable, List
 
@@ -35,8 +34,11 @@ def stable_digest(value) -> str:
     """Short content hash of ``value``'s canonical JSON form.
 
     Stable across processes and Python invocations (unlike ``hash``),
-    which is what golden-baseline comparison needs.
+    which is what golden-baseline comparison needs.  ``hashlib`` loads
+    OpenSSL's libcrypto, so it is imported here, on the first call, not
+    by every process that imports the inspectors.
     """
+    import hashlib
     return hashlib.sha256(canonical_json(value).encode()).hexdigest()[:16]
 
 

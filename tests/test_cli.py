@@ -118,7 +118,8 @@ class TestTraceAndMetricsCommands:
                                                      monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["metrics", "pingpong", "--iterations", "3"]) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert err == ""            # nothing dropped, no warning
         assert "repro trace: pingpong" in out
         assert "metrics:" in out
         assert "cq.cqe" in out
@@ -131,6 +132,26 @@ class TestTraceAndMetricsCommands:
         summary = json.loads(capsys.readouterr().out)
         assert summary["iterations"] == 2
         assert summary["metrics"]["verbs.send_posted"] >= 2
+
+    @pytest.mark.parametrize("command", ["trace", "metrics"])
+    def test_recorder_drops_warn_on_stderr_only(self, capsys, tmp_path,
+                                                monkeypatch, command):
+        from repro import obs
+        install = obs.install
+        monkeypatch.setattr(obs, "install",
+                            lambda sim, capacity=0: install(sim, capacity=50))
+        argv = [command, "pingpong", "--iterations", "2", "--json"]
+        if command == "trace":
+            argv += ["--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        dropped = summary["dropped_events"]
+        assert dropped > 0 and summary["events"] == 50
+        assert summary["metrics"]["obs.dropped_events"] == dropped
+        assert captured.err == (f"repro {command}: warning: the trace "
+                                f"recorder was full and dropped "
+                                f"{dropped:,} events\n")
 
     def test_unknown_workload_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

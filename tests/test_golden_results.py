@@ -12,7 +12,7 @@ Slow experiments (Figure 7) are covered at full scale in benchmarks/.
 
 import pytest
 
-from repro.bench import (run_fig3, run_fig4, run_mtu_sweep, run_table1)
+from repro.bench.runners import (run_fig3, run_fig4, run_mtu_sweep, run_table1)
 from repro.units import MB
 
 # Values as recorded in EXPERIMENTS.md (full-scale definitive run).

@@ -80,14 +80,14 @@ class TestRunnersSmoke:
     live in benchmarks/)."""
 
     def test_fig3_structure(self):
-        from repro.bench import run_fig3
+        from repro.bench.runners import run_fig3
         result = run_fig3(iterations=10)
         assert len(result.rows) == 6
         assert result.measured("QPIP", "tcp") > 0
         assert "Figure 3" in result.render()
 
     def test_fig4_structure(self):
-        from repro.bench import run_fig4
+        from repro.bench.runners import run_fig4
         from repro.units import MB
         result = run_fig4(total_bytes=1 * MB)
         mbps, cpu = result.measured("QPIP")
@@ -95,21 +95,21 @@ class TestRunnersSmoke:
         assert "Figure 4" in result.render()
 
     def test_mtu_sweep_structure(self):
-        from repro.bench import run_mtu_sweep
+        from repro.bench.runners import run_mtu_sweep
         from repro.units import MB
         result = run_mtu_sweep(total_bytes=1 * MB, mtus=(1500, 16384))
         assert result.measured(1500) < result.measured(16384)
         assert "MTU" in result.render()
 
     def test_table1_structure(self):
-        from repro.bench import run_table1
+        from repro.bench.runners import run_table1
         result = run_table1(iterations=20)
         assert result.qpip_us < result.host_based_us
         assert result.qpip_cycles == round(result.qpip_us * 550)
         assert "Table 1" in result.render()
 
     def test_occupancy_structure(self):
-        from repro.bench import run_occupancy_tables
+        from repro.bench.runners import run_occupancy_tables
         from repro.bench.paper import TABLE2_TX, TABLE3_RX
         result = run_occupancy_tables(messages=10)
         # Every row of both tables, data and ACK column, at the paper's
@@ -130,7 +130,7 @@ class TestRunnersSmoke:
         assert "Table 2" in result.render() and "Table 3" in result.render()
 
     def test_fig7_structure(self):
-        from repro.bench import run_fig7
+        from repro.bench.runners import run_fig7
         from repro.units import MB
         result = run_fig7(total_bytes=4 * MB, systems=("QPIP",))
         mbps, eff, fs = result.measured("QPIP", "read")
@@ -138,7 +138,7 @@ class TestRunnersSmoke:
         assert "Figure 7" in result.render()
 
     def test_hw_ablation_structure(self):
-        from repro.bench import run_hw_ablation
+        from repro.bench.runners import run_hw_ablation
         from repro.units import MB
         result = run_hw_ablation(total_bytes=1 * MB)
         names = [r[0] for r in result.rows]

@@ -82,6 +82,7 @@ class TestRecorder:
             rec.event("c", f"n{i}")
         assert len(rec.records) == 3
         assert rec.dropped == 2
+        assert rec.metrics.counter("obs.dropped_events").value == 2
 
 
 class TestExports:
@@ -291,6 +292,9 @@ class TestTracedWorkloadAcceptance:
         assert "artifacts" not in summary
         assert summary["iterations"] == 4
         assert summary["metrics"]["qp.established"] >= 1
+        # Nothing dropped, so the drop counter was never created.
+        assert summary["dropped_events"] == 0
+        assert "obs.dropped_events" not in summary["metrics"]
 
     def test_unknown_workload_rejected(self):
         from repro.obs.runner import run_traced

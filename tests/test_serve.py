@@ -27,7 +27,8 @@ from repro.errors import ConfigError, ReproError
 from repro.gate.spec import ScenarioSpec, WorkloadSpec
 from repro.serve import (DONE, FAILED, INTERRUPTED, QUARANTINED, QUEUED,
                          AdmissionQueue, Job, JobStore, ReproServer,
-                         ServeClient, ServeConfig, read_journal)
+                         ServeClient, ServeConfig, ServeUnavailable,
+                         read_journal)
 from repro.serve.loadgen import run_phase
 
 # ---------------------------------------------------------------------------
@@ -419,6 +420,52 @@ class TestServeAPI:
         for pid in pids:                       # no orphaned children
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+def _one_shot_server(reply: bytes):
+    """A listener that reads one request, answers it with ``reply``
+    verbatim and closes; returns (url, thread)."""
+    import socket
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    request += chunk
+                conn.sendall(reply)
+                conn.shutdown(socket.SHUT_WR)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return f"http://127.0.0.1:{listener.getsockname()[1]}", thread
+
+
+class TestServeClientErrors:
+    """Every way the transport can fail reaches callers (``repro serve
+    submit/status``) as a ``ReproError``, never a raw exception."""
+
+    @pytest.mark.parametrize("reply", [
+        b"SSH-2.0-not-http\r\n",                                 # not HTTP
+        b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nhello",  # truncated
+    ], ids=["bad_status_line", "incomplete_read"])
+    def test_broken_reply_is_serve_unavailable(self, reply):
+        url, thread = _one_shot_server(reply)
+        with pytest.raises(ServeUnavailable):
+            ServeClient(url, timeout_s=10).healthz()
+        thread.join(10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("url", ["http://h:abc", "http://h:99999"])
+    def test_bad_port_is_a_repro_error(self, url):
+        with pytest.raises(ReproError, match="serve url"):
+            ServeClient(url)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 and an RDMA key-value store (collectives live in :mod:`repro.collectives`)."""
 
 from .kvstore import FailoverKvClient, KvClient, KvServer
-from .pingpong import (RttResult, qpip_reliable_rtt, qpip_tcp_rtt,
-                       qpip_udp_rtt, socket_tcp_rtt, socket_udp_rtt)
-from .ttcp import ThroughputResult, qpip_ttcp, qpip_ttcp_reliable, socket_ttcp
+from .pingpong import (RttResult, qpip_tcp_rtt, qpip_udp_rtt, socket_tcp_rtt,
+                       socket_udp_rtt)
+from .ttcp import ThroughputResult, qpip_ttcp, socket_ttcp
 
 __all__ = [
     "KvClient", "KvServer", "FailoverKvClient",
     "RttResult", "qpip_tcp_rtt", "qpip_udp_rtt", "socket_tcp_rtt",
-    "socket_udp_rtt", "qpip_reliable_rtt",
-    "ThroughputResult", "qpip_ttcp", "qpip_ttcp_reliable", "socket_ttcp",
+    "socket_udp_rtt",
+    "ThroughputResult", "qpip_ttcp", "socket_ttcp",
 ]

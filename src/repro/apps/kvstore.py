@@ -71,9 +71,6 @@ class SlotTable:
     def slot_offset(self, index: int) -> int:
         return index * self.slot_size
 
-    def capacity_for_value(self, key: bytes) -> int:
-        return self.slot_size - SLOT_HDR - len(key)
-
     def write_slot(self, index: int, key: bytes, value: bytes) -> None:
         record = struct.pack("!HH", len(key), len(value)) + key + value
         if len(record) > self.slot_size:
@@ -451,23 +448,6 @@ class FailoverKvClient:
         if value is None:
             self.stats.misses += 1
         return value
-
-    def get_any(self, key: bytes) -> Generator:
-        """Scan the replica ring until some replica has the key (covers
-        reads racing an in-progress replicated PUT)."""
-        for step in range(len(self.replicas)):
-            i = (self.preferred + step) % len(self.replicas)
-            try:
-                client = yield from self._ensure(i)
-                value = yield from self._bounded(client.get(key), "get_any")
-            except ReproError:
-                self._abandon(i)
-                self.trace.append(f"{self.sim.now:.1f}:scan-skip:r{i}")
-                continue
-            if value is not None:
-                return value
-        self.stats.misses += 1
-        return None
 
     def close(self) -> Generator:
         for i in list(self._clients):

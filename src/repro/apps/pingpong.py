@@ -179,58 +179,6 @@ def qpip_tcp_rtt(sim: Simulator, client_node, server_node,
                    iterations, msg_size)
 
 
-def qpip_reliable_rtt(sim: Simulator, client_node, server_node,
-                      iterations: int = 100, msg_size: int = 32,
-                      kill_times=(), policy=None, rng=None,
-                      heartbeat_interval: float = 20_000.0,
-                      port: int = PORT + 1):
-    """Ping-pong through the self-healing session layer.
-
-    The echo runs over a :class:`~repro.recovery.RecoveryManager` /
-    :class:`~repro.recovery.RecoveryAcceptor` pair; each ``kill_times``
-    entry aborts the client's current QP at that simulation time and the
-    stream *resumes* — every ping is answered exactly once, the killed
-    iterations simply pay the recovery latency in their RTT sample.
-
-    Returns ``(RttResult, recovery_report)``.
-    """
-    from ..recovery import RecoveryAcceptor, RecoveryManager
-    rtts: List[float] = []
-    acceptor = RecoveryAcceptor(server_node, port=port,
-                                handler=lambda _sid, payload: payload)
-    manager = RecoveryManager(client_node, Endpoint(server_node.addr, port),
-                              session_id=1, policy=policy, rng=rng,
-                              heartbeat_interval=heartbeat_interval,
-                              max_msg=max(msg_size, 64))
-
-    def client():
-        yield from manager.start()
-        payload = bytes(msg_size) if msg_size else b"\0"
-        for _ in range(iterations):
-            t0 = sim.now
-            yield from manager.send(payload)
-            echo = yield from manager.recv()
-            if echo is None or len(echo) != len(payload):
-                raise RuntimeError("reliable ping-pong echo mismatch")
-            rtts.append(sim.now - t0)
-        yield from manager.drain()
-        yield from manager.close()
-
-    for at in kill_times:
-        def kill():
-            if manager.qp is not None:
-                client_node.firmware.abort_qp(manager.qp)
-        sim.call_later(at, kill)
-
-    procs = [sim.process(acceptor.run()), sim.process(client())]
-    sim.run(until=sim.now + 60_000_000)
-    if not procs[1].triggered:
-        raise RuntimeError("reliable ping-pong did not finish")
-    if not procs[1].ok:
-        raise procs[1].value
-    return RttResult(rtts), manager.report()
-
-
 def qpip_udp_rtt(sim: Simulator, client_node, server_node,
                  iterations: int = 100, msg_size: int = 1) -> RttResult:
     return _qp_rtt(sim, client_node, server_node, QPTransport.UDP,

@@ -90,81 +90,6 @@ def socket_ttcp(sim: Simulator, client_node, server_node,
         t_start=window["start"], t_end=window["rx_done"])
 
 
-def qpip_ttcp_reliable(sim: Simulator, client_node, server_node,
-                       total_bytes: int = 1024 * 1024,
-                       chunk: int = 4096, kill_times=(),
-                       policy=None, rng=None, window_size: int = 64,
-                       heartbeat_interval: float = 20_000.0,
-                       port: int = PORT + 1):
-    """One-way throughput stream over the self-healing session layer.
-
-    The client pushes ``total_bytes`` in ``chunk``-sized messages through
-    a :class:`~repro.recovery.RecoveryManager`; the server counts bytes
-    delivered (exactly once, even when ``kill_times`` aborts the client's
-    QP mid-stream).  Returns ``(ThroughputResult, recovery_report)``.
-    """
-    from ..recovery import RecoveryAcceptor, RecoveryManager
-    win = {}
-    expected = sum(min(chunk, total_bytes - off)
-                   for off in range(0, total_bytes, chunk))
-
-    state = {"got": 0}
-
-    def on_chunk(_sid, payload):
-        state["got"] += len(payload)
-        if state["got"] >= expected and "rx_done" not in win:
-            win["rx_done"] = sim.now
-        return None   # one-way: no reliable response
-
-    acceptor = RecoveryAcceptor(server_node, port=port, handler=on_chunk,
-                                window=window_size,
-                                max_msg=max(chunk, 64))
-    manager = RecoveryManager(client_node, Endpoint(server_node.addr, port),
-                              session_id=1, policy=policy, rng=rng,
-                              window=window_size, max_msg=max(chunk, 64),
-                              heartbeat_interval=heartbeat_interval)
-
-    def client():
-        yield from manager.start()
-        client_node.host.reset_cpu_stats()
-        server_node.host.reset_cpu_stats()
-        win["start"] = sim.now
-        sent = 0
-        while sent < total_bytes:
-            n = min(chunk, total_bytes - sent)
-            yield from manager.send(bytes(n))
-            sent += n
-        yield from manager.drain()
-        win["tx_done"] = sim.now
-        yield from manager.close()
-
-    for at in kill_times:
-        def kill():
-            if manager.qp is not None:
-                client_node.firmware.abort_qp(manager.qp)
-        sim.call_later(at, kill)
-
-    procs = [sim.process(acceptor.run()), sim.process(client())]
-    sim.run(until=sim.now + 600_000_000)
-    if not procs[1].triggered:
-        raise RuntimeError("reliable ttcp did not finish")
-    if not procs[1].ok:
-        raise procs[1].value
-    if "rx_done" not in win:
-        # Drain retired everything, so delivery is complete; the last
-        # handler call and the drain can land on the same tick.
-        win["rx_done"] = sim.now
-    elapsed = max(1.0, win["rx_done"] - win["start"])
-    tx_elapsed = max(1.0, win["tx_done"] - win["start"])
-    result = ThroughputResult(
-        bytes_moved=state["got"],
-        elapsed_us=elapsed,
-        tx_cpu_utilization=client_node.host.cpu.busy_time / tx_elapsed,
-        rx_cpu_utilization=server_node.host.cpu.busy_time / elapsed,
-        t_start=win["start"], t_end=win["rx_done"])
-    return result, manager.report()
-
-
 def qpip_ttcp(sim: Simulator, client_node, server_node,
               total_bytes: int = DEFAULT_TOTAL,
               chunk: int = DEFAULT_CHUNK, queue_depth: int = 8,

@@ -30,6 +30,7 @@ import argparse
 import sys
 import time
 
+from .errors import ReproError
 from .units import MB
 
 
@@ -63,6 +64,28 @@ EXPERIMENTS = {
 }
 
 
+def _at_least(kind, low, strict=False):
+    """An argparse ``type=``: parse with ``kind`` and reject values below
+    ``low`` (or equal to it when ``strict``), and NaN, as a usage error."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+    return parse
+
+
+_POSITIVE_INT = _at_least(int, 0, strict=True)
+_NON_NEGATIVE_INT = _at_least(int, 0)
+_POSITIVE_FLOAT = _at_least(float, 0.0, strict=True)
+_NON_NEGATIVE_FLOAT = _at_least(float, 0.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -72,10 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (desc, _fn) in EXPERIMENTS.items():
         p = sub.add_parser(name, help=desc)
         if name == "fig7":
-            p.add_argument("--mb", type=int, default=409,
+            p.add_argument("--mb", type=_POSITIVE_INT, default=409,
                            help="working-set size in MB (paper: 409)")
     all_p = sub.add_parser("all", help="run every experiment")
-    all_p.add_argument("--mb", type=int, default=409)
+    all_p.add_argument("--mb", type=_POSITIVE_INT, default=409)
     chaos_p = sub.add_parser(
         "chaos", help="run a workload under fault injection and check "
                       "the delivery/completion invariants")
@@ -86,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default="ttcp",
                          help="kvstore (replicated, client failover) "
                               "requires --recover")
-    chaos_p.add_argument("--messages", type=int, default=64)
-    chaos_p.add_argument("--size", type=int, default=4096,
+    chaos_p.add_argument("--messages", type=_POSITIVE_INT, default=64)
+    chaos_p.add_argument("--size", type=_POSITIVE_INT, default=4096,
                          help="message size in bytes")
     chaos_p.add_argument("--drop", type=float, default=0.02,
                          help="per-packet drop probability")
@@ -101,14 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
                          default="none",
                          help="kill the QP mid-transfer and check that "
                               "every outstanding WR is flushed")
-    chaos_p.add_argument("--kill-at", type=float, default=5000.0,
+    chaos_p.add_argument("--kill-at", type=_NON_NEGATIVE_FLOAT,
+                         default=5000.0,
                          help="kill time in simulated microseconds")
     chaos_p.add_argument("--recover", action="store_true",
                          help="run the workload through the self-healing "
                               "session layer and force QP restarts "
                               "mid-transfer; the invariant becomes "
                               "exactly-once delivery of every message")
-    chaos_p.add_argument("--restarts", type=int, default=3,
+    chaos_p.add_argument("--restarts", type=_NON_NEGATIVE_INT, default=3,
                          help="forced QP restarts in --recover mode")
     chaos_p.add_argument("--check-determinism", action="store_true",
                          help="run twice and compare completion traces")
@@ -123,13 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "print the report")):
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("workload", choices=("ttcp", "pingpong"))
-        p.add_argument("--bytes", type=int, default=256 * 1024,
+        p.add_argument("--bytes", type=_POSITIVE_INT, default=256 * 1024,
                        help="ttcp transfer size")
-        p.add_argument("--chunk", type=int, default=8192,
+        p.add_argument("--chunk", type=_POSITIVE_INT, default=8192,
                        help="ttcp message size")
-        p.add_argument("--iterations", type=int, default=20,
+        p.add_argument("--iterations", type=_POSITIVE_INT, default=20,
                        help="pingpong round trips")
-        p.add_argument("--msg-size", type=int, default=64,
+        p.add_argument("--msg-size", type=_POSITIVE_INT, default=64,
                        help="pingpong message size")
         p.add_argument("--json", action="store_true",
                        help="print the summary as JSON")
@@ -143,16 +167,17 @@ def build_parser() -> argparse.ArgumentParser:
                            default="ttcp")
     cluster_p.add_argument("--topology", choices=("fat-tree", "ring"),
                            default="fat-tree")
-    cluster_p.add_argument("--hosts", type=int, default=16)
-    cluster_p.add_argument("--flows", type=int, default=8)
-    cluster_p.add_argument("--workers", type=int, default=2,
+    cluster_p.add_argument("--hosts", type=_POSITIVE_INT, default=16)
+    cluster_p.add_argument("--flows", type=_POSITIVE_INT, default=8)
+    cluster_p.add_argument("--workers", type=_POSITIVE_INT, default=2,
                            help="shard count (1 = plain single-process run)")
-    cluster_p.add_argument("--bytes", type=int, default=65536,
+    cluster_p.add_argument("--bytes", type=_POSITIVE_INT, default=65536,
                            help="ttcp bytes per flow")
-    cluster_p.add_argument("--iterations", type=int, default=10,
+    cluster_p.add_argument("--iterations", type=_POSITIVE_INT, default=10,
                            help="pingpong round trips per flow")
     cluster_p.add_argument("--seed", type=int, default=1)
-    cluster_p.add_argument("--horizon", type=float, default=20_000_000.0,
+    cluster_p.add_argument("--horizon", type=_POSITIVE_FLOAT,
+                           default=20_000_000.0,
                            help="simulated horizon in microseconds")
     cluster_p.add_argument("--in-process", action="store_true",
                            help="drive shards in one OS process (debug)")
@@ -202,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also run the 1-process oracle and require "
                              "bit-for-bit identical observables")
     coll_p.add_argument("--seed", type=int, default=1)
-    coll_p.add_argument("--horizon", type=float, default=20_000_000.0,
+    coll_p.add_argument("--horizon", type=_POSITIVE_FLOAT,
+                        default=20_000_000.0,
                         help="simulated horizon in microseconds (raise "
                              "for 512+ hosts)")
     coll_p.add_argument("--bench", action="store_true",
@@ -230,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="commit",
                         help="commit = fast subset (default); "
                              "nightly = the full corpus")
-    gate_p.add_argument("--workers", type=int, default=2,
+    gate_p.add_argument("--workers", type=_POSITIVE_INT, default=2,
                         help="concurrent scenario worker processes")
     gate_p.add_argument("--only", default=None, metavar="GLOB",
                         help="fnmatch glob over scenario names (e.g. "
@@ -296,10 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit status of a command that fails with a :class:`ReproError`, and the
+#: arguments its ``--json`` error object repeats.  Commands not listed
+#: exit 2 and repeat none.
+_ERROR_CONTRACT = {
+    "cluster": (1, ("workers", "seed")),
+    "collective": (1, ("engine", "algo", "hosts")),
+}
+
+
 def _json_error(command: str, kind: str, message: str, exit_code: int,
                 **extra) -> int:
-    """Machine-readable failure contract shared by the cluster/chaos/gate
-    commands: nonzero exit + one structured JSON error object on stdout."""
+    """Machine-readable failure contract shared by every command: nonzero
+    exit + one structured JSON error object on stdout."""
     import json as _json
     obj = {"ok": False, "command": command,
            "error": dict(extra, kind=kind, message=message)}
@@ -360,31 +395,24 @@ def _render_metrics_snapshot(snapshot: dict) -> str:
 
 def run_chaos_cmd(args) -> int:
     import json as _json
-    from .errors import ReproError
     from .faults import FaultPlan, check_determinism, run_chaos
-    try:
-        plan = FaultPlan()
-        if args.drop:
-            plan.drop(args.drop)
-        if args.corrupt:
-            plan.corrupt(args.corrupt)
-        if args.reorder:
-            plan.reorder(args.reorder, delay=40.0, jitter=20.0)
-        if args.duplicate:
-            plan.duplicate(args.duplicate)
-        kwargs = dict(workload=args.workload, plan=plan,
-                      messages=args.messages, msg_size=args.size,
-                      kill=args.kill, kill_at=args.kill_at,
-                      recover=args.recover, restarts=args.restarts)
-        if args.check_determinism:
-            result, _again = check_determinism(seed=args.seed, **kwargs)
-        else:
-            result = run_chaos(seed=args.seed, **kwargs)
-    except ReproError as exc:
-        if args.json:
-            return _json_error("chaos", type(exc).__name__, str(exc), 2)
-        print(f"repro chaos: error: {exc}", file=sys.stderr)
-        return 2
+    plan = FaultPlan()
+    if args.drop:
+        plan.drop(args.drop)
+    if args.corrupt:
+        plan.corrupt(args.corrupt)
+    if args.reorder:
+        plan.reorder(args.reorder, delay=40.0, jitter=20.0)
+    if args.duplicate:
+        plan.duplicate(args.duplicate)
+    kwargs = dict(workload=args.workload, plan=plan,
+                  messages=args.messages, msg_size=args.size,
+                  kill=args.kill, kill_at=args.kill_at,
+                  recover=args.recover, restarts=args.restarts)
+    if args.check_determinism:
+        result, _again = check_determinism(seed=args.seed, **kwargs)
+    else:
+        result = run_chaos(seed=args.seed, **kwargs)
     violations = result.violations()
     if args.json:
         if violations:
@@ -411,8 +439,8 @@ def run_chaos_cmd(args) -> int:
 
 def run_cluster_cmd(args) -> int:
     import json as _json
-    from .cluster import (ClusterError, ClusterSpec, assert_equivalent,
-                          make_flows, run_cluster, run_single)
+    from .cluster import (ClusterSpec, assert_equivalent, make_flows,
+                          run_cluster, run_single)
     from .cluster.bench import measure_scaling, render_scaling, scaling_spec
     if args.bench:
         spec = scaling_spec(hosts=max(args.hosts, 32), seed=args.seed,
@@ -428,18 +456,10 @@ def run_cluster_cmd(args) -> int:
         flows=make_flows(args.workload, args.hosts, args.flows,
                          seed=args.seed, total_bytes=args.bytes,
                          iterations=args.iterations))
-    try:
-        result = run_cluster(spec, args.workers,
-                             processes=not args.in_process
-                             and args.workers > 1)
-        if args.check_determinism:
-            assert_equivalent(run_single(spec), result)
-    except ClusterError as exc:
-        if args.json:
-            return _json_error("cluster", type(exc).__name__, str(exc), 1,
-                               workers=args.workers, seed=args.seed)
-        print(f"repro cluster: error: {exc}", file=sys.stderr)
-        return 1
+    result = run_cluster(spec, args.workers,
+                         processes=not args.in_process and args.workers > 1)
+    if args.check_determinism:
+        assert_equivalent(run_single(spec), result)
     summary = {
         "workload": args.workload, "topology": spec.topology,
         "hosts": spec.hosts, "flows": len(spec.flows),
@@ -470,33 +490,24 @@ def run_collective_cmd(args) -> int:
     from .collectives import CollectiveJob, CollectiveWorkSpec
     from .collectives.bench import (QUICK_WORLDS, measure_collectives,
                                     render_curves)
-    from .errors import ReproError
-    try:
-        if args.bench:
-            curves = measure_collectives(
-                worlds=QUICK_WORLDS if args.quick else (16, 32, 64),
-                algo=args.algo, vector_len=min(args.vector_len, 256),
-                seed=args.seed, horizon=args.horizon)
-            _emit_bench_report(args, "collectives", curves, render_curves)
-            return 0 if curves["all_ok"] and curves["engines_agree"] else 1
-        work = CollectiveWorkSpec(
-            algo=args.algo, engine=args.engine, variant=args.variant,
-            vector_len=args.vector_len, root=args.root, seed=args.seed,
-            eager_threshold=args.eager_threshold)
-        summary = CollectiveJob(
-            work, hosts=args.hosts, topology=args.topology,
-            hosts_per_edge=args.hosts_per_edge, spines=args.spines,
-            ring_switches=args.ring_switches, workers=args.workers,
-            processes=not args.in_process and args.workers > 1,
-            check_determinism=args.check_determinism,
-            horizon=args.horizon, seed=args.seed).run()
-    except ReproError as exc:
-        if args.json:
-            return _json_error("collective", type(exc).__name__,
-                               str(exc), 1, engine=args.engine,
-                               algo=args.algo, hosts=args.hosts)
-        print(f"repro collective: error: {exc}", file=sys.stderr)
-        return 1
+    if args.bench:
+        curves = measure_collectives(
+            worlds=QUICK_WORLDS if args.quick else (16, 32, 64),
+            algo=args.algo, vector_len=min(args.vector_len, 256),
+            seed=args.seed, horizon=args.horizon)
+        _emit_bench_report(args, "collectives", curves, render_curves)
+        return 0 if curves["all_ok"] and curves["engines_agree"] else 1
+    work = CollectiveWorkSpec(
+        algo=args.algo, engine=args.engine, variant=args.variant,
+        vector_len=args.vector_len, root=args.root, seed=args.seed,
+        eager_threshold=args.eager_threshold)
+    summary = CollectiveJob(
+        work, hosts=args.hosts, topology=args.topology,
+        hosts_per_edge=args.hosts_per_edge, spines=args.spines,
+        ring_switches=args.ring_switches, workers=args.workers,
+        processes=not args.in_process and args.workers > 1,
+        check_determinism=args.check_determinism,
+        horizon=args.horizon, seed=args.seed).run()
     ok = bool(summary["status_ok"] and summary["ranks_agree"]
               and summary["oracle_match"])
     if args.json:
@@ -523,18 +534,11 @@ def run_collective_cmd(args) -> int:
 
 def run_gate_cmd(args) -> int:
     import json as _json
-    from .errors import ReproError
     from .gate import (check_outcomes, checks_json, load_corpus,
                        outcomes_json, record_outcomes, render_checks,
                        render_outcomes, render_scenario_list, run_corpus)
-    try:
-        specs = load_corpus(args.scenarios_dir, tier=args.tier,
-                            names=args.names or None, only=args.only)
-    except ReproError as exc:
-        if args.json:
-            return _json_error("gate", type(exc).__name__, str(exc), 2)
-        print(f"repro gate: error: {exc}", file=sys.stderr)
-        return 2
+    specs = load_corpus(args.scenarios_dir, tier=args.tier,
+                        names=args.names or None, only=args.only)
     if args.action == "list":
         if args.json:
             print(_json.dumps(
@@ -589,7 +593,6 @@ def _serve_url(args) -> str:
     """Resolve the server endpoint: --url, else <dir>/serve.json."""
     import json as _json
     import os
-    from .errors import ReproError
     if args.url:
         return args.url
     endpoint = os.path.join(args.dir, "serve.json")
@@ -603,7 +606,6 @@ def _serve_url(args) -> str:
 
 def _serve_spec(args) -> dict:
     """Load the scenario spec for submit/bench (or the bench default)."""
-    from .errors import ReproError
     from .gate.spec import ScenarioSpec, WorkloadSpec, load_scenario
     if args.spec:
         return load_scenario(args.spec).to_dict()
@@ -647,88 +649,94 @@ def _serve_run_server(args) -> int:
 
 def run_serve_cmd(args) -> int:
     import json as _json
-    from .errors import ReproError
     from .serve import ServeClient, render_loadgen, run_loadgen
-    try:
-        if args.action == "run":
-            return _serve_run_server(args)
-        if args.action == "status":
-            client = ServeClient(_serve_url(args))
-            ready_status, ready = client.readyz()
-            summary = {"ok": ready_status == 200, "command": "serve",
-                       "readyz": ready, "metricz": client.metricz()}
-            if args.json:
-                print(_json.dumps(summary, indent=2, sort_keys=True))
-            else:
-                print(f"serve at {client.host}:{client.port}: "
-                      f"{'ready' if summary['ok'] else 'NOT READY'}")
-                for name, count in sorted(
-                        summary["metricz"].get("jobs", {}).items()):
-                    print(f"  {name:12s} {count}")
-                print(f"  queue depth  "
-                      f"{summary['metricz'].get('queue_depth', 0)}")
-            return 0 if summary["ok"] else 1
-        if args.action == "submit":
-            spec = _serve_spec(args)
-            client = ServeClient(_serve_url(args))
-            status, data, headers = client.submit(
-                spec, key=args.key, client=args.client_name)
-            if status not in (200, 202):
-                error = data.get("error", {"kind": f"http_{status}",
-                                           "message": repr(data)})
-                if args.json:
-                    return _json_error("serve", error.get("kind", "error"),
-                                       error.get("message", ""), 1,
-                                       http_status=status)
-                print(f"repro serve: submit rejected ({status}): "
-                      f"{error.get('message')}", file=sys.stderr)
-                return 1
-            job = data["job"]
-            if args.wait:
-                job = client.wait(job["id"], timeout_s=args.timeout)
-            ok = (not args.wait) or job["state"] == "done"
-            if args.json:
-                print(_json.dumps({"ok": ok, "command": "serve",
-                                   "http_status": status, "job": job},
-                                  indent=2, sort_keys=True))
-            else:
-                print(f"job {job['id']} ({job['key']}): {job['state']} "
-                      f"after {job['attempts']} attempt(s)")
-                if job.get("error"):
-                    print(f"  error: {job['error']['kind']}: "
-                          f"{job['error']['message']}")
-            return 0 if ok else 1
-        # bench: drive an existing server (--url) or a private one
-        spec = _serve_spec(args)
-        own_server = None
-        if args.url:
-            url = args.url
-        else:
-            import tempfile
-            from .serve import ReproServer, ServeConfig
-            own_server = ReproServer(ServeConfig(
-                data_dir=tempfile.mkdtemp(prefix="repro-serve-bench-"),
-                pool_size=args.pool, max_queue=args.max_queue,
-                client_cap=max(args.client_cap, args.max_queue),
-                seed=args.seed)).start()
-            url = own_server.url
-        try:
-            report = run_loadgen(url, spec, duration_s=args.duration,
-                                 seed=args.seed, rate_per_s=args.rate)
-        finally:
-            if own_server is not None:
-                own_server.drain_and_stop(10.0)
-        _emit_bench_report(args, "serve_load", report, render_loadgen)
-        return 0
-    except ReproError as exc:
+    if args.action == "run":
+        return _serve_run_server(args)
+    if args.action == "status":
+        client = ServeClient(_serve_url(args))
+        ready_status, ready = client.readyz()
+        summary = {"ok": ready_status == 200, "command": "serve",
+                   "readyz": ready, "metricz": client.metricz()}
         if args.json:
-            return _json_error("serve", type(exc).__name__, str(exc), 2)
-        print(f"repro serve: error: {exc}", file=sys.stderr)
-        return 2
+            print(_json.dumps(summary, indent=2, sort_keys=True))
+        else:
+            print(f"serve at {client.host}:{client.port}: "
+                  f"{'ready' if summary['ok'] else 'NOT READY'}")
+            for name, count in sorted(
+                    summary["metricz"].get("jobs", {}).items()):
+                print(f"  {name:12s} {count}")
+            print(f"  queue depth  "
+                  f"{summary['metricz'].get('queue_depth', 0)}")
+        return 0 if summary["ok"] else 1
+    if args.action == "submit":
+        spec = _serve_spec(args)
+        client = ServeClient(_serve_url(args))
+        status, data, headers = client.submit(
+            spec, key=args.key, client=args.client_name)
+        if status not in (200, 202):
+            error = data.get("error", {"kind": f"http_{status}",
+                                       "message": repr(data)})
+            if args.json:
+                return _json_error("serve", error.get("kind", "error"),
+                                   error.get("message", ""), 1,
+                                   http_status=status)
+            print(f"repro serve: submit rejected ({status}): "
+                  f"{error.get('message')}", file=sys.stderr)
+            return 1
+        job = data["job"]
+        if args.wait:
+            job = client.wait(job["id"], timeout_s=args.timeout)
+        ok = (not args.wait) or job["state"] == "done"
+        if args.json:
+            print(_json.dumps({"ok": ok, "command": "serve",
+                               "http_status": status, "job": job},
+                              indent=2, sort_keys=True))
+        else:
+            print(f"job {job['id']} ({job['key']}): {job['state']} "
+                  f"after {job['attempts']} attempt(s)")
+            if job.get("error"):
+                print(f"  error: {job['error']['kind']}: "
+                      f"{job['error']['message']}")
+        return 0 if ok else 1
+    # bench: drive an existing server (--url) or a private one
+    spec = _serve_spec(args)
+    own_server = None
+    if args.url:
+        url = args.url
+    else:
+        import tempfile
+        from .serve import ReproServer, ServeConfig
+        own_server = ReproServer(ServeConfig(
+            data_dir=tempfile.mkdtemp(prefix="repro-serve-bench-"),
+            pool_size=args.pool, max_queue=args.max_queue,
+            client_cap=max(args.client_cap, args.max_queue),
+            seed=args.seed)).start()
+        url = own_server.url
+    try:
+        report = run_loadgen(url, spec, duration_s=args.duration,
+                             seed=args.seed, rate_per_s=args.rate)
+    finally:
+        if own_server is not None:
+            own_server.drain_and_stop(10.0)
+    _emit_bench_report(args, "serve_load", report, render_loadgen)
+    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        exit_code, fields = _ERROR_CONTRACT.get(args.command, (2, ()))
+        if getattr(args, "json", False):
+            extra = {name: getattr(args, name) for name in fields}
+            return _json_error(args.command, type(exc).__name__, str(exc),
+                               exit_code, **extra)
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return exit_code
+
+
+def _dispatch(args) -> int:
     if args.command in (None, "list"):
         print("experiments:")
         for name, (desc, _fn) in EXPERIMENTS.items():

@@ -101,15 +101,6 @@ class CompletionQueue:
         while self.spinners:
             self.spinners[0].settle()
 
-    def push_many(self, cqes: List[Completion]) -> None:
-        """Post a burst of completions arriving at the same instant.
-
-        Each CQE goes through :meth:`push` in order — capacity checks,
-        obs records, observer taps, and waiter wakes all happen per CQE,
-        so a burst is indistinguishable from back-to-back pushes."""
-        for cqe in cqes:
-            self.push(cqe)
-
     # -- host side -----------------------------------------------------------
 
     def pop(self) -> Optional[Completion]:

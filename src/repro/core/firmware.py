@@ -238,11 +238,6 @@ class QpipFirmware:
         self._actions.append(action)
         self._wake()
 
-    def _has_work(self) -> bool:
-        return bool(self.nic.doorbell_fifo or self.nic.mgmt_queue
-                    or self.nic.rx_queue or self._tx_ring
-                    or self.nic.doorbell_overflow or self._actions)
-
     def _main_loop(self):
         nic = self.nic
         fifo = nic.doorbell_fifo
@@ -697,6 +692,10 @@ class QpipFirmware:
             yield from self._send_udp(ep, wr, payload)
         elif qp.rdma:
             self._send_rdma(ep, wr, payload)
+        elif not payload.length:
+            # A zero-length message takes no sequence space, so no ACK
+            # can cover it and no retransmission can repair it.
+            self._local_wr_error(ep, wr, WRStatus.LOCAL_LENGTH_ERROR)
         else:
             msg_id = next(ep._msg_ids)
             try:

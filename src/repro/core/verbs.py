@@ -19,7 +19,7 @@ from ..hw.host import Host
 from ..hw.timing import QpipHostTiming
 from ..mem import Access, AddressSpace, MemoryRegion, SGE
 from ..net.addresses import Endpoint
-from ..sim import Event, Interrupt
+from ..sim import Event
 from .cq import CompletionQueue
 from .firmware import MgmtCommand, QpipFirmware
 from .qp import QPState, QPTransport, QueuePair
@@ -346,11 +346,7 @@ class QpipInterface:
                         category="qpip-poll")
                     return cqes
                 parked = _ParkedSpin(cq, cpu, poll_interval, poll_cost)
-                try:
-                    step, at_pop = yield parked.wake
-                except Interrupt:
-                    parked.settle()     # the polls up to now did happen
-                    raise
+                step, at_pop = yield parked.wake
                 yield step
 
 

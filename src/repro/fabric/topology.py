@@ -127,12 +127,12 @@ class MyrinetFabric:
 class FabricBlueprint:
     """Pure-data description of a Myrinet fabric: no :class:`Simulator`.
 
-    A blueprint can be instantiated whole (:meth:`build_fabric`) or
-    partitioned into shards that each build only their own switches
-    (:mod:`repro.cluster`).  For sharded and single-process builds to be
-    bit-for-bit identical, port numbering is fixed *in the blueprint*
-    using the same sequential allocator as :class:`MyrinetFabric`:
-    trunks claim ports in list order first, then hosts in list order.
+    A blueprint is partitioned into shards that each build only their
+    own switches (:mod:`repro.cluster`).  For sharded and
+    single-process builds to be bit-for-bit identical, port numbering
+    is fixed *in the blueprint* using the same sequential allocator as
+    :class:`MyrinetFabric`: trunks claim ports in list order first, then
+    hosts in list order.
     Routes are likewise computed from the blueprint — never from a live
     fabric — with equal-cost ties pinned by a hash of the host pair.
     """
@@ -209,35 +209,6 @@ class FabricBlueprint:
             cur, out_port = candidates[pick % len(candidates)]
             ports.append(out_port)
         return ports + [d_port]
-
-    def build_fabric(self, sim: Simulator,
-                     attachments: Dict[str, Attachment]) -> MyrinetFabric:
-        """Instantiate the full fabric in canonical order.
-
-        ``attachments`` maps host names to their NIC attachments.  The
-        sequential port allocator must land every trunk and host on the
-        port the blueprint pre-assigned; a mismatch means the blueprint
-        was built with a different allocation rule and would silently
-        desynchronize sharded builds, so it is a hard error.
-        """
-        fabric = MyrinetFabric(sim, self.bandwidth, self.propagation,
-                               self.switch_latency)
-        for ports in self.switch_ports:
-            fabric.add_switch(ports)
-        for a, pa, b, pb, prop in self.trunks:
-            fabric.connect_switches(a, b, propagation=prop)
-            if fabric._trunks[-1] != (a, pa, b, pb):
-                raise ConfigError(
-                    f"blueprint port mismatch on trunk {a}-{b}: "
-                    f"expected ({a},{pa},{b},{pb}), "
-                    f"allocated {fabric._trunks[-1]}")
-        for name, sid, port in self.hosts:
-            node = fabric.attach_host(name, attachments[name], sid)
-            if node.switch_port != port:
-                raise ConfigError(
-                    f"blueprint port mismatch on host {name}: "
-                    f"expected {port}, allocated {node.switch_port}")
-        return fabric
 
 
 def fat_tree_blueprint(hosts: int, hosts_per_edge: int = 4,

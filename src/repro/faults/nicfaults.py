@@ -92,10 +92,6 @@ class NicFaultController:
 
     # -- firmware stalls ---------------------------------------------------
 
-    def stall(self, duration: float) -> None:
-        """Wedge the firmware core for ``duration`` µs, starting now."""
-        self.nic.stall(duration)
-
     def stall_at(self, at: float, duration: float) -> None:
         """Schedule a firmware stall at absolute sim time ``at``."""
         delay = max(0.0, at - self.nic.sim.now)

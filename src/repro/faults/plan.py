@@ -111,11 +111,6 @@ class FaultPlan:
         return self.add(FaultSpec("reorder", rate=rate, delay=delay,
                                   jitter=jitter, **kw))
 
-    def delay(self, rate: float, delay: float, jitter: float = 0.0,
-              **kw) -> "FaultPlan":
-        return self.add(FaultSpec("delay", rate=rate, delay=delay,
-                                  jitter=jitter, **kw))
-
     def corrupt(self, rate: float, **kw) -> "FaultPlan":
         return self.add(FaultSpec("corrupt", rate=rate, **kw))
 

@@ -2,11 +2,11 @@
 
 from .address_space import (PAGE_SIZE, AddressSpace, PhysicalMemory,
                             VirtualRange)
-from .buffers import SGE, BufferPool, RegisteredBuffer, sg_total
+from .buffers import SGE, sg_total
 from .registration import Access, MemoryRegion, TranslationTable
 
 __all__ = [
     "PAGE_SIZE", "AddressSpace", "PhysicalMemory", "VirtualRange",
-    "SGE", "BufferPool", "RegisteredBuffer", "sg_total",
+    "SGE", "sg_total",
     "Access", "MemoryRegion", "TranslationTable",
 ]

@@ -15,7 +15,7 @@ DMA transactions").  We model that faithfully:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import MemoryRegistrationError
 
@@ -33,9 +33,6 @@ class VirtualRange:
     @property
     def end(self) -> int:
         return self.addr + self.length
-
-    def contains(self, addr: int, length: int = 1) -> bool:
-        return self.addr <= addr and addr + length <= self.end
 
 
 class PhysicalMemory:
@@ -126,31 +123,6 @@ class AddressSpace:
         first = va >> PAGE_SHIFT
         last = (va + length - 1) >> PAGE_SHIFT
         return all(vpn in self._page_table for vpn in range(first, last + 1))
-
-    def translate(self, va: int) -> int:
-        """Virtual address -> physical address (single byte)."""
-        vpn = va >> PAGE_SHIFT
-        if vpn not in self._page_table:
-            raise MemoryRegistrationError(
-                f"{self.name}: unmapped virtual address {va:#x}")
-        return (self._page_table[vpn] << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
-
-    def fragments(self, va: int, length: int) -> List[Tuple[int, int]]:
-        """Split [va, va+length) into physically-contiguous (pa, len) runs."""
-        out: List[Tuple[int, int]] = []
-        remaining = length
-        cursor = va
-        while remaining > 0:
-            page_off = cursor & (PAGE_SIZE - 1)
-            chunk = min(remaining, PAGE_SIZE - page_off)
-            pa = self.translate(cursor)
-            if out and out[-1][0] + out[-1][1] == pa:
-                out[-1] = (out[-1][0], out[-1][1] + chunk)
-            else:
-                out.append((pa, chunk))
-            cursor += chunk
-            remaining -= chunk
-        return out
 
     # -- data access ------------------------------------------------------
 

@@ -1,13 +1,11 @@
-"""Scatter/gather entries and registered buffer convenience wrappers."""
+"""Scatter/gather entries."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
 from ..errors import MemoryRegistrationError
-from .address_space import AddressSpace, VirtualRange
-from .registration import Access, MemoryRegion, TranslationTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,74 +24,3 @@ class SGE:
 def sg_total(sges: Iterable[SGE]) -> int:
     return sum(sge.length for sge in sges)
 
-
-class RegisteredBuffer:
-    """A registered, page-backed buffer — the common-case WR target.
-
-    Wraps allocation + registration and offers read/write by offset.
-    """
-
-    def __init__(self, aspace: AddressSpace, table: TranslationTable,
-                 nbytes: int, access: Access = Access.local()):
-        self.aspace = aspace
-        self.range: VirtualRange = aspace.alloc(nbytes)
-        self.region: MemoryRegion = table.register(
-            aspace, self.range.addr, nbytes, access)
-
-    @property
-    def addr(self) -> int:
-        return self.range.addr
-
-    @property
-    def length(self) -> int:
-        return self.range.length
-
-    @property
-    def lkey(self) -> int:
-        return self.region.lkey
-
-    def sge(self, offset: int = 0, length: int | None = None) -> SGE:
-        if length is None:
-            length = self.length - offset
-        if offset < 0 or offset + length > self.length:
-            raise MemoryRegistrationError("SGE outside buffer bounds")
-        return SGE(self.addr + offset, length, self.lkey)
-
-    def write(self, data: bytes, offset: int = 0) -> None:
-        if offset + len(data) > self.length:
-            raise MemoryRegistrationError("write beyond buffer end")
-        self.aspace.write(self.addr + offset, data)
-
-    def read(self, length: int | None = None, offset: int = 0) -> bytes:
-        if length is None:
-            length = self.length - offset
-        if offset + length > self.length:
-            raise MemoryRegistrationError("read beyond buffer end")
-        return self.aspace.read(self.addr + offset, length)
-
-
-class BufferPool:
-    """A pool of equal-size registered buffers (receive rings use this)."""
-
-    def __init__(self, aspace: AddressSpace, table: TranslationTable,
-                 count: int, size: int, access: Access = Access.local()):
-        if count <= 0 or size <= 0:
-            raise MemoryRegistrationError("pool needs positive count and size")
-        self.buffers: List[RegisteredBuffer] = [
-            RegisteredBuffer(aspace, table, size, access) for _ in range(count)]
-        self._free = list(reversed(range(count)))
-
-    @property
-    def available(self) -> int:
-        return len(self._free)
-
-    def take(self) -> RegisteredBuffer:
-        if not self._free:
-            raise MemoryRegistrationError("buffer pool exhausted")
-        return self.buffers[self._free.pop()]
-
-    def give_back(self, buf: RegisteredBuffer) -> None:
-        idx = self.buffers.index(buf)
-        if idx in self._free:
-            raise MemoryRegistrationError("double free of pool buffer")
-        self._free.append(idx)

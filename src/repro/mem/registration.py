@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Flag, auto
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from ..errors import MemoryRegistrationError
 from .address_space import AddressSpace
@@ -92,9 +92,3 @@ class TranslationTable:
             raise MemoryRegistrationError(
                 f"{self.name}: access {access} not permitted on region {lkey:#x}")
         return region
-
-    def translate(self, lkey: int, addr: int, length: int,
-                  access: Access) -> List[Tuple[int, int]]:
-        """Return (physical addr, length) DMA fragments for a checked access."""
-        region = self.check(lkey, addr, length, access)
-        return region.aspace.fragments(addr, length)

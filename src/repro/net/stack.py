@@ -15,9 +15,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .. import obs
-from ..errors import ChecksumError
 from ..sim import Simulator
-from .addresses import Endpoint, IPAddress
+from .addresses import Endpoint
 from .headers.ip import PROTO_TCP, PROTO_UDP
 from .ip import IpModule, ParsedSegment, RouteEntry
 from .packet import Packet, Payload
@@ -39,13 +38,6 @@ class InetStack:
         self.checksum_errors = 0
         # Hook for observability (e.g., tracing every delivered segment).
         self.on_segment: Optional[Callable[[ParsedSegment], None]] = None
-
-    # -- addressing -----------------------------------------------------
-
-    def primary_addr(self) -> IPAddress:
-        if not self.ip.local_addrs:
-            raise ChecksumError(f"{self.name}: no local address configured")
-        return next(iter(sorted(self.ip.local_addrs, key=repr)))
 
     # -- transmit paths ----------------------------------------------------
 

@@ -235,17 +235,15 @@ class TcpConnection:
         if payload.length > self.max_message:
             raise ConnectionReset(
                 f"message of {payload.length}B exceeds max segment {self.max_message}B")
+        if not payload.length:
+            # No sequence space, so no ACK could ever complete it.
+            raise ConnectionReset("zero-length message")
         if self.state not in DATA_SEND_STATES and \
                 self.state not in (TcpState.SYN_SENT, TcpState.SYN_RCVD):
             raise ConnectionReset(f"send in state {self.state}")
         if msg_id is None:
             msg_id = self._next_msg_id
         self._next_msg_id = max(self._next_msg_id, msg_id + 1)
-        if payload.length == 0 and not self._unsent and not self._retx:
-            # Zero-length messages occupy no sequence space, so no ACK will
-            # ever cover them; they complete at send time.
-            self.sim.call_soon(self.ctx.on_send_complete, self, msg_id)
-            return msg_id
         self._unsent.append((msg_id, payload))
         self._unsent_bytes += payload.length
         self._try_send()
@@ -279,10 +277,6 @@ class TcpConnection:
     @property
     def flight_size(self) -> int:
         return seq_sub(self.snd_nxt, self.snd_una)
-
-    @property
-    def all_sent_data_acked(self) -> bool:
-        return not self._retx and not self._unsent
 
     # ------------------------------------------------------------------
     # receive-window management

@@ -1,8 +1,6 @@
 """Cross-layer observability: spans, metrics, pcapng, trace assertions.
 
-The subsystem grew out of three stubs (``sim/trace.py``, ``sim/stats.py``,
-``tools/wiretap.py``), which keep working unchanged; ``repro.obs`` adds
-the structured layer on top:
+It builds on the packet capture of ``tools/wiretap.py`` and adds:
 
 * :class:`TraceRecorder` — span/event tracer following a WR from
   ``post_send`` through firmware stages, the wire, and the remote CQE;

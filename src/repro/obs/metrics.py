@@ -1,9 +1,7 @@
 """Metrics registry: counters, gauges, exact-percentile histograms.
 
-Unlike :mod:`repro.sim.stats` (fixed-bucket, approximate percentiles —
-kept for the legacy call sites), the observability registry stores every
-sample, so ``percentile`` answers with an *exact* order statistic via
-the nearest-rank definition::
+The registry stores every sample, so ``percentile`` answers with an
+*exact* order statistic via the nearest-rank definition::
 
     percentile(p) = sorted_samples[ceil(p/100 * n) - 1]    (p > 0)
     percentile(0) = min(samples)

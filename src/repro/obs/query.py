@@ -77,9 +77,6 @@ class TraceQuery:
                 return ev
         return None
 
-    def span(self, span_id: int) -> List[TraceEvent]:
-        return [ev for ev in self.records if ev.span == span_id]
-
     def _describe(self, limit: int = 12) -> str:
         shown = [repr(ev) for ev in self.records[:limit]]
         if len(self.records) > limit:

@@ -62,10 +62,6 @@ class Job:
         if self.max_attempts < 1:
             raise ConfigError(f"job {self.id}: max_attempts must be >= 1")
 
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
     def to_dict(self) -> Dict:
         return asdict(self)
 
@@ -108,6 +104,3 @@ class ServeConfig:
             raise ConfigError("pool_size/max_queue/client_cap must be >= 1")
         if self.max_attempts < 1 or self.breaker_deaths < 1:
             raise ConfigError("max_attempts/breaker_deaths must be >= 1")
-
-    def to_dict(self) -> Dict:
-        return asdict(self)

@@ -1,17 +1,12 @@
 """Discrete-event simulation kernel (time unit: microseconds)."""
 
-from .engine import (AllOf, AnyOf, Event, Interrupt, Process, SimulationError,
-                     Simulator, Timeout)
-from .resources import Mutex, Store, WorkItem, WorkQueue
+from .engine import AnyOf, Event, Process, SimulationError, Simulator, Timeout
+from .resources import Store, WorkItem, WorkQueue
 from .rng import RngHub
-from .stats import Counter, Histogram, RateMeter, RunningStats, StatsRegistry
 from .timers import PeriodicTimer, Timer, Watchdog
-from .trace import NullTracer, Tracer
 
 __all__ = [
-    "AllOf", "AnyOf", "Event", "Interrupt", "Process", "SimulationError",
-    "Simulator", "Timeout", "Mutex", "Store", "WorkItem", "WorkQueue",
-    "RngHub", "Counter", "Histogram", "RateMeter", "RunningStats",
-    "StatsRegistry", "PeriodicTimer", "Timer", "Watchdog",
-    "NullTracer", "Tracer",
+    "AnyOf", "Event", "Process", "SimulationError", "Simulator", "Timeout",
+    "Store", "WorkItem", "WorkQueue", "RngHub", "PeriodicTimer", "Timer",
+    "Watchdog",
 ]

@@ -26,14 +26,6 @@ class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence that callbacks and processes can wait on.
 
@@ -129,8 +121,6 @@ class _ProcWake:
     A process waits on at most one thing at a time, so one wake cell per
     process can be re-pushed for every ``yield <float>`` without
     allocating a Timeout (event object + callback list) per wait.
-    ``cancelled`` handles interruption: the stale heap entry is skipped
-    and a fresh cell takes its place.
 
     ``fired`` implements the two-hop fire: the first pop re-pushes the
     cell at the same time with a fresh sequence number and only the
@@ -141,11 +131,10 @@ class _ProcWake:
     depend on which of the two paths its queue happened to take.
     """
 
-    __slots__ = ("proc", "cancelled", "fired")
+    __slots__ = ("proc", "fired")
 
     def __init__(self, proc: "Process"):
         self.proc = proc
-        self.cancelled = False
         self.fired = False
 
 
@@ -170,14 +159,13 @@ class _BurstWalk:
     an Event with one callback.
     """
 
-    __slots__ = ("times", "fns", "idx", "fired", "cancelled", "proc")
+    __slots__ = ("times", "fns", "idx", "fired", "proc")
 
     def __init__(self, times, fns):
         self.times = times
         self.fns = fns
         self.idx = 0
         self.fired = False
-        self.cancelled = False
         self.proc: Optional["Process"] = None
 
 
@@ -199,7 +187,7 @@ class Process(Event):
     value (or has the event's exception thrown into it).
     """
 
-    __slots__ = ("_gen", "_waiting_on", "_wake")
+    __slots__ = ("_gen", "_wake")
 
     def __init__(self, sim: "Simulator", generator: Generator):
         if not hasattr(generator, "throw"):
@@ -210,101 +198,56 @@ class Process(Event):
         bootstrap = Event(sim)
         bootstrap.callbacks.append(self._resume)
         bootstrap.succeed()
-        self._waiting_on: Optional[Event] = bootstrap
-
-    @property
-    def is_alive(self) -> bool:
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        If the process has not started yet, the interrupt is raised at its
-        first yield point.
-        """
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._gen is self.sim._active_gen:
-            raise SimulationError("a process cannot interrupt itself")
-        kicker = Event(self.sim)
-        kicker.callbacks.append(self._resume_interrupt)
-        kicker.fail(Interrupt(cause))
-        kicker.defuse()
-
-    def _resume_interrupt(self, event: Event) -> None:
-        if not self.is_alive:
-            return  # the process finished before the interrupt was delivered
-        waited = self._waiting_on
-        if type(waited) is _ProcWake or type(waited) is _BurstWalk:
-            # The stale heap entry is skipped when popped; the process
-            # gets a fresh wake cell for its next plain-delay wait.  An
-            # interrupted burst abandons its remaining steps, matching
-            # the unbatched path where the process would no longer be
-            # around to run them.
-            waited.cancelled = True
-        elif waited is not None and waited.callbacks is not None \
-                and self._resume in waited.callbacks:
-            waited.callbacks.remove(self._resume)
-        self._waiting_on = None
-        self._resume(event)
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         sim = self.sim
-        prev_gen, sim._active_gen = sim._active_gen, self._gen
-        try:
-            while True:
-                try:
-                    if event._ok:
-                        target = self._gen.send(event._value)
-                    else:
-                        event._defused = True
-                        target = self._gen.throw(event._value)
-                except StopIteration as stop:
-                    self._ok = True
-                    self._value = stop.value
-                    sim._enqueue(0.0, self)
-                    return
-                except BaseException as exc:
-                    self._ok = False
-                    self._value = exc
-                    sim._enqueue(0.0, self)
-                    return
-                if not isinstance(target, Event):
-                    if type(target) is float and target >= 0:
-                        # Plain-delay wait: re-push this process's
-                        # reusable wake cell instead of building a
-                        # Timeout (no event object, no callback list).
-                        wake = self._wake
-                        if wake is None or wake.cancelled:
-                            wake = self._wake = _ProcWake(self)
-                        sim._seq += 1
-                        heapq.heappush(sim._heap,
-                                       (sim.now + target, sim._seq, wake))
-                        self._waiting_on = wake
-                        return
-                    if type(target) is _BurstWalk:
-                        # Park on an in-flight burst; the walker resumes
-                        # this process after its final step fires.
-                        target.proc = self
-                        self._waiting_on = target
-                        return
-                    event = Event(sim)
-                    event.fail(
-                        SimulationError(f"process yielded a non-event: {target!r}"))
-                    event.defuse()
-                    continue
-                if target.sim is not sim:
-                    raise SimulationError("event belongs to a different simulator")
-                if target.callbacks is None:
-                    # Already-processed events resume the process immediately.
-                    event = target
-                    continue
-                target.callbacks.append(self._resume)
-                self._waiting_on = target
+        while True:
+            try:
+                if event._ok:
+                    target = self._gen.send(event._value)
+                else:
+                    event._defused = True
+                    target = self._gen.throw(event._value)
+            except StopIteration as stop:
+                self._ok = True
+                self._value = stop.value
+                sim._enqueue(0.0, self)
                 return
-        finally:
-            sim._active_gen = prev_gen
+            except BaseException as exc:
+                self._ok = False
+                self._value = exc
+                sim._enqueue(0.0, self)
+                return
+            if not isinstance(target, Event):
+                if type(target) is float and target >= 0:
+                    # Plain-delay wait: re-push this process's
+                    # reusable wake cell instead of building a
+                    # Timeout (no event object, no callback list).
+                    wake = self._wake
+                    if wake is None:
+                        wake = self._wake = _ProcWake(self)
+                    sim._seq += 1
+                    heapq.heappush(sim._heap,
+                                   (sim.now + target, sim._seq, wake))
+                    return
+                if type(target) is _BurstWalk:
+                    # Park on an in-flight burst; the walker resumes
+                    # this process after its final step fires.
+                    target.proc = self
+                    return
+                event = Event(sim)
+                event.fail(SimulationError(
+                    f"process yielded a non-event: {target!r}"))
+                event.defuse()
+                continue
+            if target.sim is not sim:
+                raise SimulationError("event belongs to a different simulator")
+            if target.callbacks is None:
+                # Already-processed events resume the process immediately.
+                event = target
+                continue
+            target.callbacks.append(self._resume)
+            return
 
 
 class AnyOf(Event):
@@ -335,34 +278,6 @@ class AnyOf(Event):
             return
         self._done[event] = event._value
         self.succeed(dict(self._done))
-
-
-class AllOf(Event):
-    """Fires when all child events have fired; value is ``{event: value}``."""
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = list(events)
-        self._remaining = 0
-        for ev in self._events:
-            if not ev.processed:
-                self._remaining += 1
-                ev.callbacks.append(self._on_child)
-        if self._remaining == 0:
-            self.succeed({ev: ev._value for ev in self._events})
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({ev: ev._value for ev in self._events})
 
 
 class _CallbackHandle:
@@ -404,7 +319,6 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list = []
         self._seq: int = 0
-        self._active_gen = None
         self._events_processed: int = 0
         self._dead_handles: int = 0
         self.compactions: int = 0
@@ -450,9 +364,6 @@ class Simulator:
         self._dead_handles = 0
         self.compactions += 1
 
-    def event(self) -> Event:
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
@@ -461,9 +372,6 @@ class Simulator:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def call_later(self, delay: float, fn: Callable, *args) -> _CallbackHandle:
         """Run ``fn(*args)`` after ``delay``; returns a cancellable handle."""
@@ -474,9 +382,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, handle))
         return handle
-
-    def call_soon(self, fn: Callable, *args) -> _CallbackHandle:
-        return self.call_later(0.0, fn, *args)
 
     def defer(self, delay: float, fn: Callable) -> _BurstWalk:
         """Run ``fn()`` after ``delay`` via a single-step burst walker.
@@ -584,8 +489,6 @@ class Simulator:
             self.now = _time
             kind = type(item)
             if kind is _ProcWake:
-                if item.cancelled:
-                    continue
                 if not item.fired and heap and heap[0][0] == _time:
                     # Two-hop fire: see _ProcWake.  Keeps same-time tie
                     # ordering identical to the general work-queue path.
@@ -601,8 +504,6 @@ class Simulator:
                 item.proc._resume(_WAKE_VALUE)
                 continue
             if kind is _BurstWalk:
-                if item.cancelled:
-                    continue
                 if not item.fired and heap and heap[0][0] == _time:
                     item.fired = True
                     self._seq += 1
@@ -650,13 +551,6 @@ class Simulator:
         if not proc._ok:
             raise proc._value
         return proc._value
-
-    def peek(self) -> float:
-        """Time of the next scheduled item, or ``inf`` when idle.
-
-        Parked waiters (``self.parked``) are not scheduled items: they
-        act only when something else settles them."""
-        return self._heap[0][0] if self._heap else float("inf")
 
     # -- cross-simulator injection (repro.cluster) -----------------------
     #
@@ -706,20 +600,17 @@ class Simulator:
             del self._log_seqs[:idx]
 
     def next_live_time(self) -> float:
-        """Like :meth:`peek`, but prunes dead timers off the heap top so
-        an armed-then-cancelled RTO does not masquerade as pending work
-        (a conservative sync window would otherwise stall on it)."""
+        """Time of the next live heap item, or ``inf`` when idle.  Prunes
+        dead timers off the heap top so an armed-then-cancelled RTO does
+        not masquerade as pending work (a conservative sync window would
+        otherwise stall on it)."""
         heap = self._heap
         while heap:
             item = heap[0][-1]
-            kind = type(item)
-            if kind is _CallbackHandle and item.cancelled:
+            if type(item) is _CallbackHandle and item.cancelled:
                 heapq.heappop(heap)
                 if self._dead_handles > 0:
                     self._dead_handles -= 1
-                continue
-            if (kind is _ProcWake or kind is _BurstWalk) and item.cancelled:
-                heapq.heappop(heap)
                 continue
             return heap[0][0]
         return float("inf")
@@ -750,8 +641,6 @@ class Simulator:
                 self.now = _time
             kind = type(item)
             if kind is _ProcWake:
-                if item.cancelled:
-                    continue
                 if not item.fired and heap and heap[0][0] == _time:
                     item.fired = True
                     self._seq += 1
@@ -762,8 +651,6 @@ class Simulator:
                 item.proc._resume(_WAKE_VALUE)
                 continue
             if kind is _BurstWalk:
-                if item.cancelled:
-                    continue
                 if not item.fired and heap and heap[0][0] == _time:
                     item.fired = True
                     self._seq += 1

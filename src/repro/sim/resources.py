@@ -1,7 +1,6 @@
 """Queueing resources built on the event kernel.
 
 * :class:`Store` — unbounded (or bounded) FIFO of items with blocking gets.
-* :class:`Mutex` — single-holder lock with a FIFO wait queue.
 * :class:`WorkQueue` — a serial "processor": callers submit timed work
   items and receive an event that fires when the item completes.  This is
   the building block for host CPUs, NIC firmware processors, DMA engines
@@ -69,46 +68,6 @@ class Store:
             self._getters.append(ev)
         return ev
 
-    def try_get(self) -> Any:
-        """Non-blocking get; returns None when empty."""
-        if self._items:
-            self.total_got += 1
-            return self._items.popleft()
-        return None
-
-    def peek(self) -> Any:
-        return self._items[0] if self._items else None
-
-
-class Mutex:
-    """A FIFO lock.  ``acquire()`` yields an event; call ``release()`` after."""
-
-    def __init__(self, sim: Simulator, name: str = "mutex"):
-        self.sim = sim
-        self.name = name
-        self._locked = False
-        self._waiters: deque = deque()
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim)
-        if not self._locked:
-            self._locked = True
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if not self._locked:
-            raise SimulationError(f"mutex {self.name!r} released while unlocked")
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._locked = False
 
 
 class WorkItem:
@@ -164,16 +123,6 @@ class WorkQueue:
         # :meth:`replay_periodic`): an object with ``settle()``, called
         # before anyone else submits work or reads the accounting.
         self.parked = None
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._heap)
-
-    @property
-    def busy(self) -> bool:
-        if self.parked is not None:
-            self.parked.settle()
-        return self._busy or self.sim.now < self._busy_until
 
     @property
     def dispatching(self) -> bool:
@@ -387,11 +336,3 @@ class WorkQueue:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_time / elapsed)
-
-    def utilization_of(self, category: str) -> float:
-        if self.parked is not None:
-            self.parked.settle()
-        elapsed = self.sim.now - self._stats_epoch
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_by_category.get(category, 0.0) / elapsed

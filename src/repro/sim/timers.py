@@ -84,10 +84,6 @@ class Watchdog:
         self._callback = callback
         self._timer = Timer(sim, self._expire, name=name)
 
-    @property
-    def armed(self) -> bool:
-        return self._timer.armed
-
     def feed(self) -> None:
         """Record liveness: push the expiry a full ``timeout`` out."""
         if self._timer.armed:

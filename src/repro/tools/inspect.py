@@ -119,50 +119,6 @@ def merge_metrics_dumps(dumps: Iterable[Dict[str, dict]]):
     return merged
 
 
-def collective_records(flows: Dict[int, dict]) -> Dict[int, dict]:
-    """Extract ``rank -> record`` from a cluster result's flow map.
-
-    Collective rank records live under ``COLLECTIVE_FLOW_BASE + rank``
-    so they can share the map with ordinary flows.
-    """
-    from ..collectives.group import COLLECTIVE_FLOW_BASE
-    return {fid - COLLECTIVE_FLOW_BASE: rec for fid, rec in flows.items()
-            if fid >= COLLECTIVE_FLOW_BASE}
-
-
-def collective_report(records: Dict[int, dict]) -> str:
-    """Per-rank CollectiveStats table for one collective run.
-
-    ``records`` maps rank to the record written by the rank driver
-    (:func:`collective_records` extracts it from a cluster result).
-    Surfaces the honest accounting: schedule steps taken, bytes handed
-    to the transport split by phase, and the post-to-completion
-    sim-clock latency each rank observed.
-    """
-    if not records:
-        return "collective: no rank records"
-    first = records[min(records)]
-    lines = [
-        f"collective: {first['algo']} ({first['variant']}) "
-        f"engine={first['engine']} world={first['world']}",
-        f"{'rank':>6} {'status':>10} {'steps':>6} {'bytes':>10} "
-        f"{'wall us':>12}  digest",
-    ]
-    phase_totals: Dict[str, int] = {}
-    for rank in sorted(records):
-        rec = records[rank]
-        stats = rec["stats"]
-        lines.append(
-            f"{rank:>6} {rec['status']:>10} {stats['steps']:>6} "
-            f"{stats['bytes_sent']:>10,} {stats['wall_time_us']:>12,.1f}  "
-            f"{rec['result_digest']}")
-        for phase, nbytes in stats["phase_bytes"].items():
-            phase_totals[phase] = phase_totals.get(phase, 0) + nbytes
-    for phase, nbytes in sorted(phase_totals.items()):
-        lines.append(f"  phase {phase:16s} {nbytes:>12,} bytes")
-    return "\n".join(lines)
-
-
 def connection_report(conn: TcpConnection) -> str:
     """A netstat-style dump of one TCP connection."""
     s = conn.stats
@@ -211,18 +167,6 @@ def nic_report(nic) -> str:
     return "\n".join(lines)
 
 
-def cq_report(cq) -> str:
-    """Counters of one completion queue, host polling included.
-
-    ``polls`` counts every host look at the ring — the polls a parked
-    ``spin`` settled in closed form exactly like the ones it stepped
-    through — so a spinning consumer shows up here even though it costs
-    the event kernel nothing while it waits."""
-    return (f"cq {cq.cq_num}: completions {cq.total_completions} "
-            f"(errors {cq.error_completions}), overruns {cq.overruns}, "
-            f"depth {len(cq)}; polls {cq.polls} (empty {cq.empty_polls})")
-
-
 def fabric_report(fabric) -> str:
     """Per-link utilization and switch counters for a fabric."""
     lines: List[str] = []
@@ -254,65 +198,6 @@ def fabric_report(fabric) -> str:
                 f"{d_out.bytes_sent}B, util {d_out.utilization(0, now) * 100:.1f}%"
                 f"{_direction_faults(d_out)}")
     return "\n".join(lines)
-
-
-def recovery_report(session) -> str:
-    """Health/recovery counters for a RecoveryManager or RecoveryAcceptor.
-
-    Reads the session's ``report()`` dict the way the other inspectors
-    read live protocol state; works on either end of a healed session.
-    """
-    rep = session.report()
-    name = getattr(session, "name", "session")
-    qp = session.qp
-    state = qp.state.name if qp is not None else "DOWN"
-    lines = [f"recovery {name}: qp={state}"]
-    if "incarnations" in rep:               # manager side
-        lines.append(
-            f"  session: incarnation {rep['incarnations']}, "
-            f"{rep.get('heals', 0)} heals over "
-            f"{rep.get('attempts', 0)} attempts "
-            f"({rep.get('attempt_timeouts', 0)} timed out), "
-            f"unacked {rep.get('unacked', 0)}")
-        lines.append(
-            f"  wire: {rep.get('wrs_posted', 0)} WRs posted, "
-            f"{rep.get('wrs_completed', 0)} completed, "
-            f"{rep.get('replayed_wrs', 0)} replayed, "
-            f"{rep.get('stale_cqes', 0)} stale CQEs, "
-            f"{rep.get('duplicates_dropped', 0)} dups dropped")
-        lines.append(
-            f"  health: {rep.get('heartbeats_sent', 0)} heartbeats, "
-            f"{rep.get('watchdog_escalations', 0)} watchdog escalations, "
-            f"{rep.get('qp_failures', 0)} QP failures; "
-            f"breaker {rep.get('breaker_state', '?')} "
-            f"(opened {rep.get('breaker_opens', 0)}, "
-            f"shed {rep.get('breaker_shed', 0)})")
-    else:                                   # acceptor side
-        lines.append(
-            f"  served: {rep.get('accepts', 0)} accepts, "
-            f"{rep.get('conn_failures', 0)} connection failures, "
-            f"{rep.get('delivered', 0)} delivered, "
-            f"{rep.get('duplicates_dropped', 0)} dups dropped, "
-            f"{rep.get('replayed_wrs', 0)} responses replayed")
-        for sid, sess in rep.get("sessions", {}).items():
-            lines.append(
-                f"  session {sid}: incarnation {sess['incarnations']}, "
-                f"rcv_next {sess['rcv_next']}, "
-                f"unacked {sess['unacked']}, "
-                f"duplicates {sess['duplicates']}")
-    return "\n".join(lines)
-
-
-def breaker_report(breaker) -> str:
-    """One-line state dump of a CircuitBreaker."""
-    line = (f"breaker {breaker.name}: {breaker.state.value}, "
-            f"{breaker.failures} failures/{breaker.successes} successes "
-            f"({breaker.consecutive_failures} consecutive), "
-            f"opened {breaker.opens}x, shed {breaker.shed}")
-    remaining = breaker.cooldown_remaining
-    if remaining > 0:
-        line += f", cooldown {remaining:.0f}us remaining"
-    return line
 
 
 def _direction_faults(direction) -> str:

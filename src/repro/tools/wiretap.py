@@ -131,18 +131,6 @@ class Wiretap:
     def __len__(self) -> int:
         return len(self.records)
 
-    def lines(self, direction: Optional[str] = None) -> List[str]:
-        return [r.line for r in self.records
-                if direction is None or r.direction == direction]
-
-    def tcp_records(self) -> List[TapRecord]:
-        return [r for r in self.records
-                if r.packet.find(TCPHeader) is not None]
-
-    def count_flag(self, mask: int) -> int:
-        return sum(1 for r in self.tcp_records()
-                   if r.packet.find(TCPHeader).flags & mask)
-
     def retransmissions(self) -> int:
         """Count repeated (seq, length>0) transmissions."""
         seen = set()

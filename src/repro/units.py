@@ -15,16 +15,6 @@ SECOND = 1_000_000.0
 NS = 0.001
 
 
-def seconds(t_us: float) -> float:
-    """Convert µs to seconds."""
-    return t_us / SECOND
-
-
-def usec(t_seconds: float) -> float:
-    """Convert seconds to µs."""
-    return t_seconds * SECOND
-
-
 # -- size -------------------------------------------------------------------
 
 KB = 1024
@@ -40,24 +30,9 @@ def gbit_per_sec(g: float) -> float:
     return g * 1e9 / 8 / SECOND
 
 
-def mbit_per_sec(m: float) -> float:
-    """Mbit/s -> bytes/µs."""
-    return m * 1e6 / 8 / SECOND
-
-
-def mb_per_sec(m: float) -> float:
-    """MB/s (2**20 bytes) -> bytes/µs."""
-    return m * MB / SECOND
-
-
 def to_mb_per_sec(bytes_per_us: float) -> float:
     """bytes/µs -> MB/s (2**20 bytes), the unit used in the paper's figures."""
     return bytes_per_us * SECOND / MB
-
-
-def cycles_to_us(cycles: int, mhz: float) -> float:
-    """CPU cycles at ``mhz`` MHz -> µs."""
-    return cycles / mhz
 
 
 def us_to_cycles(t_us: float, mhz: float) -> int:

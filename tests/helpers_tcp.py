@@ -43,7 +43,7 @@ class PipeCtx:
     def output_ready(self, conn) -> None:
         if not self._drain_scheduled:
             self._drain_scheduled = True
-            self.sim.call_soon(self._drain)
+            self.sim.call_later(0.0, self._drain)
 
     def deliver(self, conn, payload, psh) -> None:
         self.delivered.append((payload, psh))

@@ -280,38 +280,3 @@ class TestNbdNegotiation:
         sim.run(until=60_000_000)
         assert cp.triggered and cp.ok
         assert cp.value == 1 << 30
-
-
-class TestUdpBlast:
-    def test_socket_blast_paced_no_loss(self, sim):
-        from repro.apps.udpblast import socket_udp_blast
-        a, b, _f = build_gige_pair(sim)
-        r = socket_udp_blast(sim, a, b, datagrams=200, interval_us=50.0)
-        assert r.received == 200
-        assert r.loss_rate == 0.0
-        assert r.goodput_mb_per_sec > 5
-
-    def test_socket_blast_overload_loses_datagrams(self, sim):
-        from repro.apps.udpblast import socket_udp_blast
-        a, b, _f = build_gige_pair(sim)
-        # Shrink the receive queue and blast with no pacing: overflow.
-        r = socket_udp_blast(sim, a, b, datagrams=400, interval_us=0.0)
-        # Best effort: transfer completes, some datagrams just vanish.
-        assert 0 < r.received <= 400
-
-    def test_qpip_blast_paced_no_loss(self, sim):
-        from repro.apps.udpblast import qpip_udp_blast
-        a, b, _f = build_qpip_pair(sim)
-        r = qpip_udp_blast(sim, a, b, datagrams=200, interval_us=60.0)
-        assert r.received == 200
-        assert r.loss_rate == 0.0
-
-    def test_qpip_blast_without_enough_wrs_drops(self, sim):
-        from repro.apps.udpblast import qpip_udp_blast
-        a, b, _f = build_qpip_pair(sim)
-        # Few receive WRs + fast arrival: the NIC drops datagrams with
-        # no posted WR (paper §3 best-effort semantics).
-        r = qpip_udp_blast(sim, a, b, datagrams=300, interval_us=0.0,
-                           recv_buffers=4, app_delay_us=200.0)
-        assert r.received < 300
-        assert b.firmware.udp_drops_no_wr > 0

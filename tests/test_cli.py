@@ -497,3 +497,38 @@ class TestBenchReports:
         assert json.loads(captured.out) == self.REPORT
         assert str(out) in captured.err
         assert json.loads(out.read_text()) == {section: self.REPORT}
+
+
+class TestErrorContract:
+    """Bad numbers are usage errors at parse time, and a ReproError from
+    any command is one ``repro <cmd>: error:`` line (or the ``--json``
+    error object) with that command's exit code, never a traceback."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["cluster", "--workers", "0"], 2),
+        (["cluster", "--hosts", "2", "--flows", "8"], 1),
+        (["cluster", "--hosts", "2", "--flows", "8", "--json"], 1),
+        (["cluster", "--horizon", "-5"], 2),
+        (["cluster", "--horizon", "nan"], 2),
+        (["collective", "--horizon", "nan"], 2),
+        (["chaos", "--kill", "rst", "--kill-at", "nan"], 2),
+        (["metrics", "ttcp", "--chunk", "0"], 2),
+        (["chaos", "--kill", "rst", "--kill-at", "-1"], 2),
+        (["chaos", "--recover", "--restarts", "-1"], 2),
+        (["fig7", "--mb", "0"], 2),
+    ])
+    def test_bad_input_is_reported_not_raised(self, capsys, argv, code):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == code
+        out, err = capsys.readouterr()
+        if "--json" in argv:
+            obj = json.loads(out)
+            assert obj["ok"] is False and obj["command"] == argv[0]
+            assert obj["error"]["kind"] == "ConfigError"
+            assert obj["error"]["workers"] == 2
+        else:
+            assert f"repro {argv[0]}: error:" in err
+        assert "Traceback" not in err

@@ -380,18 +380,3 @@ class TestJobAndCli:
         out = capsys.readouterr().out
         assert rc == 1
         assert '"ok": false' in out
-
-    def test_collective_report(self):
-        from repro.collectives import COLLECTIVE_FLOW_BASE
-        from repro.tools.inspect import (collective_records,
-                                         collective_report)
-        spec = CollectiveWorkSpec(engine="nic", algo="allreduce",
-                                  vector_len=32, seed=6)
-        records = run_collective(Simulator(), 3, spec)
-        flows = {COLLECTIVE_FLOW_BASE + rank: rec
-                 for rank, rec in records.items()}
-        extracted = collective_records(flows)
-        assert sorted(extracted) == [0, 1, 2]
-        report = collective_report(extracted)
-        assert "engine=nic" in report
-        assert "phase reduce_scatter" in report

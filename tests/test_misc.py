@@ -9,22 +9,16 @@ from repro.cli import EXPERIMENTS, build_parser, main
 
 class TestUnits:
     def test_time_conversions(self):
-        assert units.seconds(2_000_000) == 2.0
-        assert units.usec(1.5) == 1_500_000
+        assert units.SECOND == 1_000_000
         assert units.MS == 1000
         assert units.NS == 0.001
 
     def test_rates(self):
         assert units.gbit_per_sec(2.0) == pytest.approx(250.0)
-        assert units.mbit_per_sec(100) == pytest.approx(12.5)
-        assert units.mb_per_sec(1) == pytest.approx(1.048576)
-        # Round trip.
-        assert units.to_mb_per_sec(units.mb_per_sec(75.6)) == pytest.approx(75.6)
+        assert units.to_mb_per_sec(1.048576) == pytest.approx(1.0)
 
     def test_cycles(self):
         assert units.us_to_cycles(2.5, 550) == 1375
-        assert units.cycles_to_us(1375, 550) == pytest.approx(2.5)
-        assert units.us_to_cycles(units.cycles_to_us(16445, 550), 550) == 16445
 
 
 class TestReport:

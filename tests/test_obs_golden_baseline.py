@@ -1,11 +1,9 @@
-"""Golden baselines for the legacy observability stubs.
+"""Golden baselines for the wire-tap output formats.
 
-These tests pin the *exact* output formats of ``tools.wiretap`` and
-``sim.trace`` as they existed before the ``repro.obs`` subsystem grew out
-of them.  The obs migration claims to be behaviour-preserving for these
-surfaces (old call sites keep working, old file formats stay readable),
-and this file is the proof: if a refactor changes a pinned string or a
-header byte, the claim is broken and the test says so.
+These tests pin the *exact* output formats of ``tools.wiretap`` as they
+existed before the ``repro.obs`` subsystem grew out of it: the
+tcpdump-style lines and the classic libpcap framing.  If a refactor
+changes a pinned string or a header byte, the test says so.
 """
 
 import struct
@@ -17,7 +15,6 @@ from repro.net.headers.ip import IPv6Header
 from repro.net.headers.transport import ACK, PSH, SYN, TCPHeader, UDPHeader
 from repro.net.packet import Packet, ZeroPayload
 from repro.sim import Simulator
-from repro.sim.trace import NullTracer, Tracer
 from repro.tools import Wiretap, format_packet
 
 
@@ -69,49 +66,6 @@ class TestFormatPacketGolden:
         assert line.endswith("length 0 [CE]")
 
 
-class TestLegacyTracerGolden:
-    """The (time, category, message) tuple contract of sim.trace.Tracer."""
-
-    def test_record_shape_is_plain_tuple(self, sim):
-        tr = Tracer(sim)
-        sim.call_later(2.5, lambda: tr.log("tcp", "retx seq=100"))
-        sim.run()
-        assert list(tr.records) == [(2.5, "tcp", "retx seq=100")]
-        rec = tr.records[0]
-        assert type(rec) is tuple and len(rec) == 3
-
-    def test_capacity_is_a_ring(self, sim):
-        tr = Tracer(sim, capacity=3)
-        for i in range(5):
-            tr.log("c", f"m{i}")
-        assert [r[2] for r in tr.records] == ["m2", "m3", "m4"]
-
-    def test_enable_only_filters_at_log_time(self, sim):
-        tr = Tracer(sim)
-        tr.enable_only(["keep"])
-        tr.log("keep", "a")
-        tr.log("drop", "b")
-        assert tr.count("keep") == 1
-        assert tr.count("drop") == 0
-
-    def test_find_matches_category_and_substring(self, sim):
-        tr = Tracer(sim)
-        tr.log("tcp", "fast retransmit seq=1")
-        tr.log("tcp", "rto fired")
-        tr.log("qp", "fast retransmit unrelated")
-        assert len(tr.find("tcp", "retransmit")) == 1
-        assert tr.count("tcp") == 2
-        tr.clear()
-        assert tr.count("tcp") == 0
-
-    def test_null_tracer_is_inert(self):
-        nt = NullTracer()
-        nt.log("any", "thing")
-        assert nt.find("any") == []
-        assert nt.count("any") == 0
-        nt.clear()
-
-
 class TestLegacyPcapGolden:
     """Classic libpcap output: exact global header, exact record framing."""
 
@@ -146,16 +100,3 @@ class TestLegacyPcapGolden:
         assert raw[40:40 + incl] == body
         assert len(raw) == 40 + incl            # nothing after the packet
 
-
-class TestLegacyHistogramGolden:
-    """sim.stats.Histogram keeps its approximate (bucket-edge) percentile."""
-
-    def test_percentile_returns_bucket_upper_edge(self):
-        from repro.sim.stats import Histogram
-        h = Histogram(0.0, 100.0, buckets=10)
-        for x in (5, 15, 25, 35):
-            h.add(x)
-        # Approximate by design: answers snap to bucket edges.
-        assert h.percentile(50) == 20.0
-        assert h.percentile(100) == 40.0
-        assert h.percentile(0) == 0.0

@@ -4,6 +4,7 @@ semantics over the simulated Myrinet fabric."""
 import pytest
 
 from repro import obs
+from repro.apps.pingpong import qpip_udp_rtt
 from repro.bench.configs import build_qpip_pair
 from repro.obs import TraceQuery
 from repro.core import (MessageReassembler, QPState, QPTransport, WRStatus,
@@ -230,6 +231,29 @@ class TestSendReceive:
         (cqe,) = run_procs(sim, client())
         assert cqe.status is WRStatus.LOCAL_PROTECTION_ERROR
         assert rig["client_qp"].state is QPState.ERROR
+
+    def test_zero_length_send_fails_on_tcp_not_udp(self, sim, pair):
+        a, b, _fabric = pair
+        rig = setup_connected_qps(sim, a, b, recv_bufs=2)
+
+        def client():
+            buf = yield from a.iface.register_memory(64)
+            yield from a.iface.post_send(rig["client_qp"], [buf.sge(0, 0)])
+            cqes = []
+            while len(cqes) < 3:
+                cqes += yield from a.iface.wait(rig["client_cq"])
+            return cqes
+
+        (cqes,) = run_procs(sim, client())
+        # The SEND fails with a length error; the QP enters ERROR and
+        # flushes the two posted receives.
+        assert [(c.opcode.value, c.status) for c in cqes] == [
+            ("SEND", WRStatus.LOCAL_LENGTH_ERROR),
+            ("RECV", WRStatus.FLUSHED), ("RECV", WRStatus.FLUSHED)]
+        assert rig["client_qp"].state is QPState.ERROR
+        # A datagram has no sequence space to take: UDP still carries it.
+        rtts = qpip_udp_rtt(sim, a, b, iterations=2, msg_size=0).rtts
+        assert len(rtts) == 2
 
     def test_oversized_message_for_recv_wr_errors(self, sim, pair):
         a, b, _fabric = pair

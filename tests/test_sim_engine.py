@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import (AllOf, AnyOf, Event, Interrupt, SimulationError,
-                       Simulator)
+from repro.sim import Event, SimulationError, Simulator
 
 
 @pytest.fixture
@@ -73,15 +72,17 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.run(max_events=50)
 
-    def test_peek(self, sim):
-        assert sim.peek() == float("inf")
+    def test_next_live_time_skips_cancelled_handles(self, sim):
+        assert sim.next_live_time() == float("inf")
+        dead = sim.call_later(2, lambda: None)
         sim.call_later(4, lambda: None)
-        assert sim.peek() == 4
+        dead.cancel()
+        assert sim.next_live_time() == 4
 
 
 class TestEvents:
     def test_succeed_value_delivered(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         got = []
         ev.callbacks.append(lambda e: got.append(e.value))
         ev.succeed(42)
@@ -89,24 +90,24 @@ class TestEvents:
         assert got == [42]
 
     def test_double_trigger_rejected(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed()
         with pytest.raises(SimulationError):
             ev.succeed()
 
     def test_fail_requires_exception(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         with pytest.raises(TypeError):
             ev.fail("not an exception")
 
     def test_unhandled_failure_crashes_run(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.fail(ValueError("boom"))
         with pytest.raises(ValueError):
             sim.run()
 
     def test_defused_failure_does_not_crash(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.fail(ValueError("boom"))
         ev.defuse()
         sim.run()
@@ -145,7 +146,7 @@ class TestProcesses:
         assert sim.run_process(proc()) == "done"
 
     def test_process_waits_on_event(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         log = []
 
         def waiter():
@@ -182,7 +183,7 @@ class TestProcesses:
             sim.run()
 
     def test_failed_event_raises_inside_process(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         caught = []
 
         def proc():
@@ -197,7 +198,7 @@ class TestProcesses:
         assert caught == ["inner"]
 
     def test_wait_on_already_processed_event(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed("early")
         log = []
 
@@ -242,63 +243,6 @@ class TestProcesses:
             sim.run_process(bad())
 
 
-class TestInterrupts:
-    def test_interrupt_while_sleeping(self, sim):
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100)
-            except Interrupt as i:
-                log.append((sim.now, i.cause))
-
-        proc = sim.process(sleeper())
-        sim.call_later(10, proc.interrupt, "wake")
-        sim.run()
-        assert log == [(10, "wake")]
-
-    def test_interrupt_before_first_run(self, sim):
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100)
-            except Interrupt:
-                log.append(sim.now)
-                return
-            log.append("not interrupted")
-
-        proc = sim.process(sleeper())
-        proc.interrupt()
-        sim.run()
-        assert log == [0]
-
-    def test_interrupt_finished_process_rejected(self, sim):
-        def quick():
-            yield sim.timeout(1)
-
-        proc = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_interrupted_process_can_continue(self, sim):
-        log = []
-
-        def worker():
-            try:
-                yield sim.timeout(100)
-            except Interrupt:
-                pass
-            yield sim.timeout(5)
-            log.append(sim.now)
-
-        proc = sim.process(worker())
-        sim.call_later(20, proc.interrupt)
-        sim.run()
-        assert log == [25]
-
-
 class TestConditions:
     def test_any_of(self, sim):
         log = []
@@ -313,26 +257,6 @@ class TestConditions:
         sim.run()
         assert log[0][0] == 5
         assert log[0][1] == ["fast"]
-
-    def test_all_of(self, sim):
-        log = []
-
-        def proc():
-            t1 = sim.timeout(5)
-            t2 = sim.timeout(50)
-            yield sim.all_of([t1, t2])
-            log.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert log == [50]
-
-    def test_all_of_empty_fires_immediately(self, sim):
-        def proc():
-            yield sim.all_of([])
-            return sim.now
-
-        assert sim.run_process(proc()) == 0.0
 
 
 class TestDeterminism:
@@ -355,24 +279,8 @@ class TestDeterminism:
 
 
 class TestConditionFailures:
-    def test_all_of_propagates_child_failure(self, sim):
-        bad = sim.event()
-        good = sim.timeout(10)
-        caught = []
-
-        def proc():
-            try:
-                yield sim.all_of([good, bad])
-            except ValueError as exc:
-                caught.append(str(exc))
-
-        sim.process(proc())
-        sim.call_later(5, lambda: bad.fail(ValueError("child died")))
-        sim.run()
-        assert caught == ["child died"]
-
     def test_any_of_propagates_first_failure(self, sim):
-        bad = sim.event()
+        bad = Event(sim)
         slow = sim.timeout(50)
         caught = []
 
@@ -388,7 +296,7 @@ class TestConditionFailures:
         assert caught == [5]
 
     def test_any_of_with_pre_processed_child(self, sim):
-        early = sim.event()
+        early = Event(sim)
         early.succeed("pre")
 
         def proc():
@@ -410,7 +318,7 @@ class TestRunProcessEdges:
 
     def test_cross_simulator_event_rejected(self, sim):
         other = Simulator()
-        foreign = other.event()
+        foreign = Event(other)
 
         def proc():
             yield foreign

@@ -1,10 +1,9 @@
-"""Unit tests for Store, Mutex, WorkQueue, Timer and stats instruments."""
+"""Unit tests for Store, WorkQueue, Timer and RngHub."""
 
 import pytest
 
-from repro.sim import (Mutex, SimulationError, Simulator, Store, Timer,
+from repro.sim import (SimulationError, Simulator, Store, Timer,
                        PeriodicTimer, WorkQueue)
-from repro.sim.stats import Counter, Histogram, RateMeter, RunningStats
 
 
 @pytest.fixture
@@ -70,49 +69,13 @@ class TestStore:
         with pytest.raises(SimulationError):
             st.put(3)
 
-    def test_try_get_nonblocking(self, sim):
-        st = Store(sim)
-        assert st.try_get() is None
-        st.put(9)
-        assert st.try_get() == 9
-
-    def test_peek_does_not_remove(self, sim):
-        st = Store(sim)
-        st.put("a")
-        assert st.peek() == "a"
-        assert len(st) == 1
-
     def test_counters(self, sim):
         st = Store(sim)
         st.put(1)
         st.put(2)
-        st.try_get()
+        st.get()
         assert st.total_put == 2
         assert st.total_got == 1
-
-
-class TestMutex:
-    def test_exclusive_hold(self, sim):
-        m = Mutex(sim)
-        order = []
-
-        def worker(tag, hold):
-            yield m.acquire()
-            order.append((tag, "in", sim.now))
-            yield sim.timeout(hold)
-            order.append((tag, "out", sim.now))
-            m.release()
-
-        sim.process(worker("a", 10))
-        sim.process(worker("b", 10))
-        sim.run()
-        assert order == [("a", "in", 0), ("a", "out", 10),
-                         ("b", "in", 10), ("b", "out", 20)]
-
-    def test_release_unlocked_raises(self, sim):
-        m = Mutex(sim)
-        with pytest.raises(SimulationError):
-            m.release()
 
 
 class TestWorkQueue:
@@ -159,7 +122,6 @@ class TestWorkQueue:
         sim.run()
         assert sim.now == 100
         assert wq.utilization() == pytest.approx(0.25)
-        assert wq.utilization_of("work") == pytest.approx(0.25)
 
     def test_reset_stats(self, sim):
         wq = WorkQueue(sim)
@@ -181,14 +143,6 @@ class TestWorkQueue:
         with pytest.raises(SimulationError):
             wq.submit(-1)
 
-    def test_queue_depth(self, sim):
-        # Callback work always takes the general dispatch chain.
-        wq = WorkQueue(sim)
-        for _ in range(3):
-            wq.submit(10, fn=lambda: None)
-        assert wq.queue_depth == 2  # one is in service
-        assert wq.busy
-
     def test_queue_depth_fast_path(self, sim):
         # With the idle fast path, the first item is accounted eagerly
         # (busy horizon) and the next is dispatched behind it; only the
@@ -197,8 +151,7 @@ class TestWorkQueue:
         wq.submit(10)
         wq.submit(10)
         wq.submit(10)
-        assert wq.queue_depth == 1
-        assert wq.busy
+        assert wq.dispatching
         sim.run()
         assert sim.now == 30
         assert wq.busy_time == 30
@@ -267,59 +220,6 @@ class TestTimer:
         sim.call_later(17, p.stop)
         sim.run()
         assert hits == [5, 10, 15]
-
-
-class TestInstruments:
-    def test_counter(self):
-        c = Counter()
-        c.add()
-        c.add(4)
-        assert c.value == 5
-        c.reset()
-        assert c.value == 0
-
-    def test_running_stats(self):
-        s = RunningStats()
-        for x in [2.0, 4.0, 6.0]:
-            s.add(x)
-        assert s.mean == pytest.approx(4.0)
-        assert s.min == 2.0
-        assert s.max == 6.0
-        assert s.variance == pytest.approx(4.0)
-        assert s.stddev == pytest.approx(2.0)
-
-    def test_running_stats_empty(self):
-        s = RunningStats()
-        assert s.mean == 0.0
-        assert s.variance == 0.0
-
-    def test_histogram_buckets(self):
-        h = Histogram(0, 100, buckets=10)
-        for x in [5, 15, 15, 95, -1, 100]:
-            h.add(x)
-        assert h.counts[0] == 1
-        assert h.counts[1] == 2
-        assert h.counts[9] == 1
-        assert h.underflow == 1
-        assert h.overflow == 1
-        assert h.total == 6
-
-    def test_histogram_percentile(self):
-        h = Histogram(0, 100, buckets=100)
-        for x in range(100):
-            h.add(x)
-        assert h.percentile(50) == pytest.approx(50, abs=1)
-        assert h.percentile(99) == pytest.approx(99, abs=1)
-
-    def test_rate_meter(self):
-        r = RateMeter()
-        r.observe(0.0, 100)
-        r.observe(10.0, 100)
-        assert r.rate() == pytest.approx(20.0)
-        assert r.rate_over(0, 100) == pytest.approx(2.0)
-
-    def test_rate_meter_empty(self):
-        assert RateMeter().rate() == 0.0
 
 
 class TestRng:

@@ -24,7 +24,7 @@ from repro.core.qp import QPTransport
 from repro.core.wr import Completion, WROpcode
 from repro.hw.timing import QpipHostTiming
 from repro.net.addresses import Endpoint
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def reference_spin(iface, cq, poll_interval=0.5):
@@ -271,41 +271,8 @@ def test_run_until_stops_with_the_in_flight_poll_accounted():
 
 # -- a parked spinner owns no heap entry: deregistration ---------------------------
 
-def _parked_rig():
-    sim = Simulator()
-    node = build_qpip_pair(sim)[0]
-    cq = CompletionQueue(sim, 1)
-    return sim, node, cq
-
-
 def _registrations(sim, node, cq):
     return (list(cq.spinners), node.host.cpu.parked, list(sim.parked))
-
-
-def test_interrupt_deregisters_a_parked_spinner():
-    accounted = {}
-    for impl in (elided_spin, reference_spin):
-        sim, node, cq = _parked_rig()
-        seen = []
-
-        def spinner():
-            try:
-                yield from impl(node.iface, cq)
-            except Interrupt as intr:
-                seen.append((sim.now, intr.cause))
-
-        proc = sim.process(spinner())
-        sim.call_later(50.3, proc.interrupt, "stop")
-        sim.call_later(80.0, cq.push, Completion(0, 1, WROpcode.RECV))
-        sim.run(until=100.0)
-        assert seen == [(50.3, "stop")]
-        assert _registrations(sim, node, cq) == ([], None, [])
-        assert len(cq) == 1                       # the late push is harmless
-        cpu = node.host.cpu
-        accounted[impl] = (cpu.busy_time, cpu.items_completed, cq.polls)
-    # The polls up to the interrupt happened, in both.
-    assert accounted[elided_spin] == accounted[reference_spin]
-    assert accounted[elided_spin][2] > 40
 
 
 def test_abort_qp_wakes_and_deregisters_a_parked_spinner():

@@ -124,13 +124,18 @@ class TestMessageMode:
         assert cctx.completions == list(range(count))
 
     def test_zero_length_message(self, sim):
+        # A zero-length message takes no sequence space, so no ACK can
+        # cover it: it is refused rather than queued where it would never
+        # complete.  (The verbs layer turns this into a LOCAL_LENGTH_ERROR
+        # CQE before it gets here.)
         cctx, sctx = make_pair(sim, msg_cfg(), msg_cfg())
         establish(sim, cctx, sctx)
-        # A zero-length QP message still consumes a receive and completes.
-        # (seq_len 0 means no ack-tracking: completes once "sent".)
-        cctx.conn.send_message(ZeroPayload(0), msg_id=3)
+        sent = len(cctx.sent)
+        with pytest.raises(ConnectionReset):
+            cctx.conn.send_message(ZeroPayload(0), msg_id=3)
         sim.run(until=sim.now + 500_000)
-        assert 3 in cctx.completions
+        assert cctx.completions == [] and sctx.delivered == []
+        assert len(cctx.sent) == sent
 
 
 class TestStreamMode:

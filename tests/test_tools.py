@@ -83,8 +83,9 @@ class TestWiretapOnQpip:
         assert cp.triggered and cp.ok
 
         # SYN out, SYN|ACK in, plus the data segment.
-        assert tap.count_flag(SYN) >= 2
-        tx_lines = tap.lines("tx")
+        assert sum(1 for r in tap.records
+                   if r.packet.find(TCPHeader).flags & SYN) >= 2
+        tx_lines = [r.line for r in tap.records if r.direction == "tx"]
         assert any("Flags [S]" in l for l in tx_lines)
         assert any("length 100" in l for l in tx_lines)
         assert tap.retransmissions() == 0
@@ -152,8 +153,9 @@ class TestWiretapOnSockets:
         sp, cp = sim.process(server()), sim.process(client())
         sim.run(until=10_000_000)
         assert cp.triggered and cp.ok
-        assert len(tap.lines("tx")) >= 2
-        assert len(tap.lines("rx")) >= 1      # SYN|ACK and ACKs came back
+        directions = [r.direction for r in tap.records]
+        assert directions.count("tx") >= 2
+        assert directions.count("rx") >= 1    # SYN|ACK and ACKs came back
 
 
 class TestInspectors:
@@ -177,20 +179,19 @@ class TestInspectors:
         assert "occupancy" in report
         assert "build_tcp_hdr" in report
 
-    def test_cq_report_counts_elided_polls(self, sim):
+    def test_cq_counts_elided_polls(self, sim):
         from repro.core import CompletionQueue
         from repro.core.wr import Completion, WROpcode
-        from repro.tools import cq_report
         a, _b, _f = build_qpip_pair(sim)
         cq = CompletionQueue(sim, 7)
         sim.process(a.iface.spin(cq))
         sim.call_later(110.3, cq.push, Completion(1, 1, WROpcode.RECV))
         sim.run(until=60.3)                  # parked, nothing pushed yet
-        assert "polls 55 (empty 55)" in cq_report(cq)
+        assert (cq.polls, cq.empty_polls) == (55, 55)
         sim.run(until=200.0)
-        report = cq_report(cq)
-        assert report.startswith("cq 7: completions 1 (errors 0), overruns 0")
-        assert "polls 101 (empty 100)" in report
+        assert (cq.total_completions, cq.error_completions,
+                cq.overruns) == (1, 0, 0)
+        assert (cq.polls, cq.empty_polls) == (101, 100)
 
     def test_fabric_reports(self, sim):
         a, b, fabric = build_qpip_pair(sim)

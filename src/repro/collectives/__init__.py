@@ -26,14 +26,14 @@ from .host import HostCollectiveMember
 from .job import (CollectiveJob, collective_cluster_spec, expected_digest,
                   summarize_collective)
 from .runner import collective_rank_driver, result_digest
-from .schedule import Step, chunk_bounds, peer_pairs, schedule
+from .schedule import Step, chunk_range, peer_pairs, schedule
 
 __all__ = [
     "ALGOS", "ENGINES", "VARIANTS", "ELEM",
     "COLLECTIVE_FLOW_BASE", "COLLECTIVE_PORT",
     "CollectiveStats", "CollectiveWorkSpec",
     "allreduce_oracle", "combine_into", "rank_vector",
-    "Step", "schedule", "chunk_bounds", "peer_pairs",
+    "Step", "schedule", "chunk_range", "peer_pairs",
     "HEADER_SIZE", "encode_frame", "decode_frame", "max_frame_elems",
     "HostCollectiveMember",
     "CollectiveJob", "collective_cluster_spec", "expected_digest",

@@ -26,7 +26,7 @@ two neighbours by one QP per direction; **recursive doubling**
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from .. import obs
 from ..core import QPTransport, WROpcode
@@ -106,22 +106,24 @@ class _CollPump:
 
 
 class HostCollectiveMember:
-    """One rank of a host-engine collective group.
+    """One rank of a ``world``-rank host-engine collective group.
 
-    ``addrs`` lists every rank's NIC address (rank ``i`` at index ``i``)
-    so the member works identically in single-process runs and on
-    cluster shards where remote ranks have no local node record.
+    ``addr_of(r)`` is rank ``r``'s NIC address.  The member asks it only
+    for the peers it connects to, and works identically in
+    single-process runs and on cluster shards where remote ranks have no
+    local node record.
     """
 
-    def __init__(self, node, rank: int, addrs: Sequence,
-                 spec: CollectiveWorkSpec, group: int = 0):
+    def __init__(self, node, rank: int, world: int,
+                 spec: CollectiveWorkSpec, addr_of: Callable[[int], object],
+                 group: int = 0):
         self.node = node
         self.iface = node.iface
         self.host = node.host
         self.sim = node.host.sim
         self.rank = rank
-        self.addrs = list(addrs)
-        self.world = len(self.addrs)
+        self.world = world
+        self.addr_of = addr_of
         self.spec = spec
         self.group = group
         self.stats = CollectiveStats()
@@ -183,8 +185,8 @@ class HostCollectiveMember:
 
         acc = self.sim.process(acceptor())
         yield self.sim.timeout(1000.0 + 100.0 * self.rank)
-        yield from iface.connect(out_qp,
-                                 Endpoint(self.addrs[right], self.spec.port))
+        yield from iface.connect(
+            out_qp, Endpoint(self.addr_of(right), self.spec.port))
         yield acc
         if not accept_done.get("ok"):
             raise ReproError(f"rank {self.rank}: collective ring accept failed")
@@ -226,7 +228,7 @@ class HostCollectiveMember:
             if self.rank > partner:
                 yield from iface.connect(
                     self._qps[k],
-                    Endpoint(self.addrs[partner], self.spec.port + 1 + k))
+                    Endpoint(self.addr_of(partner), self.spec.port + 1 + k))
         for p in procs:
             yield p
         if len(accept_done) != len(listeners):

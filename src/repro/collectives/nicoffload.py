@@ -10,7 +10,8 @@ a host-side post, doorbell, CQE and wakeup.
 Both engines interpret the same step table
 (:func:`repro.collectives.schedule.schedule`, ring variant here).
 :meth:`CollectiveUnit._pump` is this engine's whole interpreter: two
-cursors, the next step to send and the next step to receive; step ``i``
+cursors, the next step to send and the next step to receive, each held
+as its index and its :class:`~repro.collectives.schedule.Step`; step ``i``
 goes out once step ``i-1``'s receive is complete, and every DATA or
 TOKEN frame must be the next piece of the step being received — any
 other ``(step, offset, count)`` fails the op with ``REMOTE_ABORTED`` and
@@ -49,7 +50,7 @@ from ..hw.stages import COLL_COMBINE, COLL_FRAME, COLL_GET_WR
 from . import frames
 from .group import (ELEM, CollectiveStats, combine_into, pack_vector,
                     unpack_vector)
-from .schedule import Step, schedule
+from .schedule import Schedule, Step, schedule
 
 # Collective CQEs carry a synthetic qp_num so they can never collide
 # with real QP numbers in application-side bookkeeping.
@@ -112,12 +113,17 @@ class CollectiveUnit:
         self._frame_elems = frames.max_frame_elems(self.nic.mtu)
         self._get_wr_span = self.nic.span(COLL_GET_WR)
         self._frame_span = self.nic.span(COLL_FRAME)
-        # schedule cursors: next step to send, next step to receive, and
-        # elements of that receive taken so far
+        # schedule cursors: next step to send, next step to receive (each
+        # as index and Step, None past the end; a cursor reaching the
+        # other's index takes its Step), and elements of that receive
+        # taken so far
         self.acc: List[float] = []
-        self._steps: Tuple[Step, ...] = ()
+        self._steps = Schedule(config.rank, config.world, 0)
+        self._total = 0
         self.send_idx = 0
         self.recv_idx = 0
+        self._send_step: Optional[Step] = None
+        self._recv_step: Optional[Step] = None
         self.recv_got = 0
         self.rts_sent = False
         self.cts_granted = False
@@ -201,7 +207,9 @@ class CollectiveUnit:
         rank = self.config.rank
         self._steps = schedule(op.algo, "ring", self.config.world, rank,
                                op.nelems, op.root)
+        self._total = len(self._steps)
         self.send_idx = self.recv_idx = self.recv_got = 0
+        self._send_step = self._recv_step = self._step_at(0)
         self.rts_sent = self.cts_granted = False
         # Allreduce ranks and the broadcast root feed in their vector.
         if op.nelems and (op.algo == "allreduce" or (
@@ -267,10 +275,10 @@ class CollectiveUnit:
     def _on_arrival(self, hdr: frames.FrameHeader, body: bytes):
         """A DATA or TOKEN frame: it must be the next piece of the step
         being received, else the op fails (and aborts the ring)."""
-        idx = self.recv_idx
-        step = self._steps[idx] if idx < len(self._steps) else None
+        step = self._recv_step
         if (step is None or step.recv is None
-                or not frames.is_next_piece(hdr, step, idx, self.recv_got)):
+                or not frames.is_next_piece(hdr, step, self.recv_idx,
+                                            self.recv_got)):
             self._fail(WRStatus.REMOTE_ABORTED)
             return
         if body:
@@ -306,41 +314,42 @@ class CollectiveUnit:
             yield from self._complete()
 
     def _done(self) -> bool:
-        total = len(self._steps)
-        return (self.op is not None and self.recv_idx >= total
-                and self.send_idx >= total)
+        return (self.op is not None and self.recv_idx >= self._total
+                and self.send_idx >= self._total)
+
+    def _step_at(self, idx: int) -> Optional[Step]:
+        return self._steps[idx] if idx < self._total else None
 
     def _finish_recv_step(self) -> None:
-        step = self._steps[self.recv_idx]
+        step = self._recv_step
         self.recv_idx += 1
+        nxt = self._recv_step = (self._send_step
+                                 if self.recv_idx == self.send_idx
+                                 else self._step_at(self.recv_idx))
         if step.op != "forward":
             self.stats.steps += 1
-        if (self.recv_idx < len(self._steps)
-                and self._steps[self.recv_idx].phase != step.phase):
+        if nxt is not None and nxt.phase != step.phase:
             self._end_span(f"collective.{step.phase}")
-            self._begin_span(f"collective.{self._steps[self.recv_idx].phase}")
+            self._begin_span(f"collective.{nxt.phase}")
 
     def _pump(self) -> None:
         """Move both cursors as far as the schedule allows: empty
         receives finish at once; step ``i`` originates its range once
         step ``i-1``'s receive is complete (a relaying step, once its own
         receive is), above ``eager_threshold`` only after RTS/CTS."""
-        steps = self._steps
-        total = len(steps)
         progressed = True
         while progressed:
             progressed = False
-            if self.recv_idx < total:
-                step = steps[self.recv_idx]
-                if (step.op != "token" and step.recv is not None
-                        and step.recv[1] == 0):
-                    self._finish_recv_step()
-                    progressed = True
-                    continue
-            i = self.send_idx
-            if i >= total or (i and self.recv_idx < i):
+            step = self._recv_step
+            if (step is not None and step.op != "token"
+                    and step.recv is not None and step.recv[1] == 0):
+                self._finish_recv_step()
+                progressed = True
                 continue
-            step = steps[i]
+            i = self.send_idx
+            if i >= self._total or (i and self.recv_idx < i):
+                continue
+            step = self._send_step
             if step.send is None:
                 if self.recv_idx > i:      # relayed on arrival
                     self._advance_send()
@@ -371,6 +380,8 @@ class CollectiveUnit:
 
     def _advance_send(self) -> None:
         self.send_idx += 1
+        self._send_step = (self._recv_step if self.send_idx == self.recv_idx
+                           else self._step_at(self.send_idx))
         self.rts_sent = False
         self.cts_granted = False
 

@@ -43,10 +43,14 @@ def _fill_record(record: Dict, sim, spec: CollectiveWorkSpec, rank: int,
     record["done_at"] = sim.now
 
 
+def rank_addr(rank: int) -> IPv6Address:
+    """Rank ``rank``'s NIC address: rank ``i`` runs on cluster host ``i``."""
+    return IPv6Address.from_index(rank + 1)
+
+
 def _host_rank(sim, node, rank: int, world: int, spec: CollectiveWorkSpec,
                record: Dict) -> Generator:
-    addrs = [IPv6Address.from_index(i + 1) for i in range(world)]
-    member = HostCollectiveMember(node, rank, addrs, spec)
+    member = HostCollectiveMember(node, rank, world, spec, rank_addr)
     yield from member.setup()
     result = yield from member.run()
     _fill_record(record, sim, spec, rank, world, "SUCCESS", result,
@@ -64,8 +68,7 @@ def _nic_rank(sim, node, rank: int, world: int, spec: CollectiveWorkSpec,
         buf = yield from iface.register_memory(nelems * ELEM)
         buf.write(pack_vector(initial_vector(spec, rank, world)))
         sge = buf.sge(0, nelems * ELEM)
-    right = (IPv6Address.from_index((rank + 1) % world + 1)
-             if world > 1 else None)
+    right = rank_addr((rank + 1) % world) if world > 1 else None
     yield from iface.coll_create(0, rank, world, right, spec.port, cq,
                                  eager_threshold=spec.eager_threshold)
     yield from iface.coll_post(0, spec.algo, nelems, sge, root=spec.root,

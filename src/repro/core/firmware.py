@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .. import obs
@@ -65,6 +65,24 @@ class MgmtCommand:
     kind: str
     args: tuple
     done: Event
+
+
+@lru_cache(maxsize=None)
+def _fixed_spans(timing) -> tuple:
+    """The FSMs' fixed-cost stages and spans priced against ``timing``,
+    in the order :class:`QpipFirmware` unpacks them.  Every NIC with an
+    equal (frozen) ``LanaiTiming`` shares the one set."""
+    t = timing
+
+    def span(*rows):        # ProgrammableNic.span, for this timing
+        return ((timed(t, *rows), None),)
+
+    return (timed(t, DOORBELL), span(DOORBELL_RESCAN), span(MGMT),
+            span(SCHEDULE), *[span(row) for row in RECV_PLACE], span(GET_DATA),
+            span(RX_UPDATE_ACK), span(RX_UPDATE_EXTRA), span(RDMA_READ_REQ),
+            timed(t, *RX_PARSE_DATA), timed(t, *RX_PARSE_ACK),
+            timed(t, *RX_PARSE_UDP), timed(t, *TX_BUILD_TCP),
+            timed(t, *TX_BUILD_UDP), timed(t, *TX_DONE))
 
 
 # Sentinel: the command's `done` event fires later (connect/accept).
@@ -189,24 +207,14 @@ class QpipFirmware:
         self.dma_wr_errors = 0
         self.watchdog_aborts = 0
         self.qp_error_transitions = 0
-        # The FSMs' fixed-cost spans, priced once from the stage table.
-        t, span = nic.timing, nic.span
-        self._doorbell_stages = timed(t, DOORBELL)
-        self._rescan_span = span(DOORBELL_RESCAN)
-        self._mgmt_span = span(MGMT)
-        self._schedule_span = span(SCHEDULE)
-        self._get_wr_span, self._put_data_span, self._rx_update_span = map(
-            span, RECV_PLACE)
-        self._get_data_span = span(GET_DATA)
-        self._ack_update_span = span(RX_UPDATE_ACK)
-        self._extra_update_span = span(RX_UPDATE_EXTRA)
-        self._read_req_span = span(RDMA_READ_REQ)
-        self._parse_data = timed(t, *RX_PARSE_DATA)
-        self._parse_ack = timed(t, *RX_PARSE_ACK)
-        self._parse_udp = timed(t, *RX_PARSE_UDP)
-        self._build_tcp = timed(t, *TX_BUILD_TCP)
-        self._build_udp = timed(t, *TX_BUILD_UDP)
-        self._tx_done = timed(t, *TX_DONE)
+        # The FSMs' fixed-cost spans, priced from the stage table once
+        # per timing.
+        (self._doorbell_stages, self._rescan_span, self._mgmt_span,
+         self._schedule_span, self._get_wr_span, self._put_data_span,
+         self._rx_update_span, self._get_data_span, self._ack_update_span,
+         self._extra_update_span, self._read_req_span, self._parse_data,
+         self._parse_ack, self._parse_udp, self._build_tcp, self._build_udp,
+         self._tx_done) = _fixed_spans(nic.timing)
         nic.wake = self._wake
         self._iface = _FwIface(nic)
         self.sim.process(self._main_loop())

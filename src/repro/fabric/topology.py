@@ -135,6 +135,9 @@ class FabricBlueprint:
     hosts in list order.
     Routes are likewise computed from the blueprint — never from a live
     fabric — with equal-cost ties pinned by a hash of the host pair.
+    The host index, the switch graph and the per-goal distances are
+    derived once and cached, so routing every pair of an ``N``-host
+    world is not ``O(N²)``; a blueprint is not edited once built.
     """
 
     switch_ports: List[int]                       # ports per switch
@@ -145,12 +148,19 @@ class FabricBlueprint:
     switch_latency: float = 0.3
     _dist_cache: Dict[int, Dict[int, int]] = field(
         default_factory=dict, repr=False, compare=False)
+    _index_cache: Dict[str, int] = field(
+        default_factory=dict, repr=False, compare=False)
+    _adj_cache: Dict[int, List[Tuple[int, int]]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def host_index(self, name: str) -> int:
-        for i, (n, _sid, _port) in enumerate(self.hosts):
-            if n == name:
-                return i
-        raise RouteError(f"unknown host {name}")
+        index = self._index_cache
+        if not index:
+            for i, (n, _sid, _port) in enumerate(self.hosts):
+                index.setdefault(n, i)
+        if name not in index:
+            raise RouteError(f"unknown host {name}")
+        return index[name]
 
     def host(self, name: str) -> Tuple[str, int, int]:
         return self.hosts[self.host_index(name)]
@@ -158,13 +168,15 @@ class FabricBlueprint:
     def adjacency(self) -> Dict[int, List[Tuple[int, int]]]:
         """``switch -> [(neighbor, out_port)]`` sorted by (neighbor, port)
         so every walk over the graph is independent of trunk order."""
-        adj: Dict[int, List[Tuple[int, int]]] = {
-            sid: [] for sid in range(len(self.switch_ports))}
-        for a, pa, b, pb, _prop in self.trunks:
-            adj[a].append((b, pa))
-            adj[b].append((a, pb))
-        for neighbors in adj.values():
-            neighbors.sort()
+        adj = self._adj_cache
+        if not adj:
+            for sid in range(len(self.switch_ports)):
+                adj[sid] = []
+            for a, pa, b, pb, _prop in self.trunks:
+                adj[a].append((b, pa))
+                adj[b].append((a, pb))
+            for neighbors in adj.values():
+                neighbors.sort()
         return adj
 
     def _dist_to(self, goal: int) -> Dict[int, int]:

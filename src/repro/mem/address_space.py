@@ -8,8 +8,10 @@ DMA transactions").  We model that faithfully:
 * a per-host :class:`PhysicalMemory` allocates page frames;
 * each process owns an :class:`AddressSpace` with a page table;
 * frames hold real bytes, but **sparsely** — pages never written read as
-  zeros and cost nothing, so multi-hundred-megabyte benchmark transfers
-  stay cheap while data-integrity tests remain bit-exact.
+  zeros and cost nothing, and a written frame holds bytes only up to the
+  highest one written, so multi-hundred-megabyte benchmark transfers and
+  thousands of barely-touched registered buffers stay cheap while
+  data-integrity tests remain bit-exact.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ class VirtualRange:
 
 
 class PhysicalMemory:
-    """Sparse physical memory: frames materialize on first write."""
+    """Sparse physical memory: a frame materializes on its first write,
+    up to the highest byte written, and grows on later writes; bytes past
+    its end read as zeros, like a frame never written."""
 
     def __init__(self, size_bytes: int = 1 << 30, name: str = "mem"):
         self.name = name
@@ -67,8 +71,9 @@ class PhysicalMemory:
             raise MemoryRegistrationError("frame write out of bounds")
         frame = self._frames.get(ppn)
         if frame is None:
-            frame = bytearray(PAGE_SIZE)
-            self._frames[ppn] = frame
+            frame = self._frames[ppn] = bytearray(offset)
+        elif len(frame) < offset:
+            frame.extend(bytes(offset - len(frame)))
         frame[offset:offset + len(data)] = data
 
     def read_frame(self, ppn: int, offset: int, length: int) -> Optional[bytes]:
@@ -78,7 +83,10 @@ class PhysicalMemory:
         frame = self._frames.get(ppn)
         if frame is None:
             return None
-        return bytes(frame[offset:offset + length])
+        data = bytes(frame[offset:offset + length])
+        if len(data) < length:
+            data += bytes(length - len(data))
+        return data
 
     def release(self) -> None:
         """Drop every materialized frame; later reads see zeros, as for

@@ -113,11 +113,15 @@ class ReproServer:
             target=self.http.serve_forever, kwargs={"poll_interval": 0.1},
             name="serve-http", daemon=True)
         self._http_thread.start()
+        # Written aside and renamed into place, so a poller that sees
+        # the endpoint file never reads it empty or half written.
         endpoint = os.path.join(self.config.data_dir, ENDPOINT_FILE)
-        with open(endpoint, "w", encoding="utf-8") as f:
+        tmp = f"{endpoint}.{os.getpid()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as f:
             json.dump({"url": self.url, "host": self.config.host,
                        "port": self.port, "pid": os.getpid()}, f)
             f.write("\n")
+        os.replace(tmp, endpoint)
         return self
 
     def drain_and_stop(self, timeout_s: Optional[float] = None) -> int:

@@ -24,9 +24,9 @@ def sim():
 def run_ring(sim, n, body_factory, algo="allreduce", until=120_000_000):
     """Wire an n-rank host-engine ring, then run ``body`` on every rank."""
     nodes, _fabric = build_qpip_cluster(sim, n)
-    addrs = [node.addr for node in nodes]
     spec = CollectiveWorkSpec(engine="host", algo=algo)
-    ring = [HostCollectiveMember(node, rank, addrs, spec)
+    ring = [HostCollectiveMember(node, rank, n, spec,
+                                 lambda r: nodes[r].addr)
             for rank, node in enumerate(nodes)]
     results = {}
 

@@ -8,16 +8,24 @@ the pure oracle and the test-side references in ``collective_refs``.
 The interpreter asserts the table's own consistency on the way: every
 message a rank takes is exactly the ``(step, offset, count)`` its
 schedule expects, and no message is left over.
+
+The schedule holds its steps as phases; ``TestAgainstReference`` holds it
+step for step against ``collective_refs.ref_schedule``, the tuple of
+every step built the direct way, and bounds what a 1 024-rank world's
+schedules cost to hold.
 """
 
 import random
+import tracemalloc
 from collections import defaultdict, deque
 
 import pytest
 
-from collective_refs import recursive_doubling_local, ring_allreduce_local
-from repro.collectives import (allreduce_oracle, combine_into, peer_pairs,
-                               rank_vector, schedule)
+from collective_refs import (recursive_doubling_local, ref_peer_pairs,
+                             ref_schedule, ring_allreduce_local)
+from repro.collectives import (ALGOS, VARIANTS, allreduce_oracle,
+                               combine_into, peer_pairs, rank_vector,
+                               schedule)
 from repro.errors import ConfigError
 
 SEED = 7
@@ -123,8 +131,8 @@ class TestAllreduce:
             assert {s.phase for s in ring[:world - 1]} == {"reduce_scatter"}
             assert {s.op for s in ring[world - 1:]} == {"copy"}
         assert len(schedule("allreduce", "rd", 16, 3, 9)) == 4
-        assert schedule("allreduce", "ring", 4, 0, 0) == ()
-        assert schedule("allreduce", "ring", 1, 0, 9) == ()
+        assert tuple(schedule("allreduce", "ring", 4, 0, 0)) == ()
+        assert tuple(schedule("allreduce", "ring", 1, 0, 9)) == ()
 
 
 class TestBroadcast:
@@ -189,6 +197,56 @@ class TestPeerPairs:
 
     def test_single_rank_has_no_pairs(self):
         assert peer_pairs(1) == []
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_every_schedule_equals_the_tuple_reference(self, world):
+        for algo in ALGOS:
+            for variant in VARIANTS:
+                for root in (range(world) if algo == "broadcast"
+                             else roots(world)):
+                    for nelems in lengths(world):
+                        for rank in range(world):
+                            got = schedule(algo, variant, world, rank,
+                                           nelems, root)
+                            ref = ref_schedule(algo, variant, world, rank,
+                                               nelems, root)
+                            where = (algo, variant, world, rank, nelems,
+                                     root)
+                            assert tuple(got) == ref, where
+                            assert len(got) == len(ref), where
+                            assert [got[i] for i in range(len(ref))] == \
+                                list(ref), where
+                            if ref:
+                                assert got[-1] == ref[-1], where
+
+    def test_out_of_range_index_raises(self):
+        steps = schedule("allreduce", "ring", 4, 1, 8)
+        with pytest.raises(IndexError):
+            steps[len(steps)]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_peer_pairs_equal_brute_force(self, variant):
+        for world in range(1, 65):
+            assert peer_pairs(world, variant) == \
+                ref_peer_pairs(world, variant), world
+
+    def test_a_1024_rank_world_is_small(self):
+        """Every rank's ring and rd schedule plus both pair lists, held
+        at once: O(1) per rank, where a tuple of 2·(N−1) steps per rank
+        would take hundreds of megabytes."""
+        world = 1024
+        tracemalloc.start()
+        try:
+            held = [schedule("allreduce", variant, world, rank, world)
+                    for variant in VARIANTS for rank in range(world)]
+            held += [peer_pairs(world, variant) for variant in VARIANTS]
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 2 * world + 2
+        assert peak < 5 * 1024 * 1024, peak
 
 
 def test_unknown_algo_rejected():

@@ -14,7 +14,7 @@ from repro import obs
 from repro.bench.configs import build_qpip_cluster, build_qpip_pair
 from repro.collectives import (COLLECTIVE_PORT, ELEM, CollectiveWorkSpec,
                                HostCollectiveMember, allreduce_oracle,
-                               chunk_bounds, collective_rank_driver,
+                               chunk_range, collective_rank_driver,
                                decode_frame, encode_frame, max_frame_elems,
                                peer_pairs, rank_vector, result_digest)
 from repro.collectives.group import pack_vector
@@ -47,7 +47,7 @@ def run_collective(sim, world, spec, until=60_000_000):
 class TestSchedules:
     def test_chunk_bounds_cover_vector(self):
         for length, world in ((17, 4), (3, 8), (0, 3), (16, 16)):
-            bounds = chunk_bounds(length, world)
+            bounds = [chunk_range(length, world, i) for i in range(world)]
             assert len(bounds) == world
             assert sum(cnt for _off, cnt in bounds) == length
             offset = 0
@@ -272,12 +272,12 @@ class TestVectorLengthMismatch:
     def _host(self, n0, n1):
         sim = Simulator()
         nodes, _fabric = build_qpip_cluster(sim, 2)
-        addrs = [node.addr for node in nodes]
         spec = CollectiveWorkSpec(engine="host")
         outcome = {}
 
         def rank(r, n):
-            member = HostCollectiveMember(nodes[r], r, addrs, spec)
+            member = HostCollectiveMember(nodes[r], r, 2, spec,
+                                          lambda i: nodes[i].addr)
             yield from member.setup()
             try:
                 outcome[r] = yield from member.run([float(r + 1)] * n)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collective_refs import recursive_doubling_local, ring_allreduce_local
-from repro.collectives import allreduce_oracle, chunk_bounds, rank_vector
+from repro.collectives import allreduce_oracle, chunk_range, rank_vector
 
 
 @settings(max_examples=60, deadline=None)
@@ -52,7 +52,7 @@ def test_ring_and_rd_agree_bitwise(log_world, length, seed):
 @settings(max_examples=100, deadline=None)
 @given(length=st.integers(0, 500), world=st.integers(1, 64))
 def test_chunk_bounds_partition(length, world):
-    bounds = chunk_bounds(length, world)
+    bounds = [chunk_range(length, world, i) for i in range(world)]
     assert len(bounds) == world
     offset = 0
     for off, cnt in bounds:

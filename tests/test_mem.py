@@ -102,6 +102,64 @@ class TestAddressSpace:
         a.write(rng.addr + offset, data)
         assert a.read(rng.addr + offset, len(data)) == data
 
+    def test_frame_holds_only_the_bytes_written(self, phys, aspace):
+        rng = aspace.alloc(PAGE_SIZE)
+        aspace.write(rng.addr + 10, b"abc")
+        (frame,) = phys._frames.values()
+        assert len(frame) == 13
+        aspace.write(rng.addr + 100, b"z")          # grows, zero-filled
+        assert len(frame) == 101
+        assert aspace.read(rng.addr, PAGE_SIZE) == (
+            bytes(10) + b"abc" + bytes(87) + b"z" + bytes(PAGE_SIZE - 101))
+        aspace.write(rng.addr, b"q")                # below the end: no growth
+        assert len(frame) == 101
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 4 * PAGE_SIZE),
+                  st.binary(max_size=PAGE_SIZE + 200)),
+        st.tuples(st.just("read"), st.integers(0, 4 * PAGE_SIZE),
+                  st.integers(0, 2 * PAGE_SIZE)),
+        st.tuples(st.just("is_all_zero"), st.integers(0, 4 * PAGE_SIZE),
+                  st.integers(0, 2 * PAGE_SIZE)),
+        st.tuples(st.just("release"), st.just(0), st.just(0))),
+        max_size=30))
+    def test_matches_a_dense_model(self, ops):
+        """Interleaved writes, reads, zero queries and releases agree with
+        one dense ``bytearray`` plus the set of pages written."""
+        size = 4 * PAGE_SIZE
+        phys = PhysicalMemory()
+        a = AddressSpace(phys)
+        base = a.alloc(size).addr
+        model = bytearray(size)
+        written = set()
+        for op, off, arg in ops:
+            if op == "write":
+                data = arg[:size - off]
+                a.write(base + off, data)
+                model[off:off + len(data)] = data
+                written.update(range(off // PAGE_SIZE,
+                                     (off + len(data) - 1) // PAGE_SIZE + 1)
+                               if data else ())
+            elif op == "release":
+                phys.release()
+                model = bytearray(size)
+                written.clear()
+            else:
+                off = min(off, size - 1)
+                length = min(arg, size - off)
+                if op == "read":
+                    assert a.read(base + off, length) == \
+                        bytes(model[off:off + length])
+                else:
+                    last = (off + length - 1) // PAGE_SIZE if length \
+                        else off // PAGE_SIZE
+                    pages = range(off // PAGE_SIZE, last + 1)
+                    assert a.is_all_zero(base + off, length) == \
+                        written.isdisjoint(pages)
+            assert phys.frames_materialized == len(written)
+        assert a.read(base, size) == bytes(model)
+
 
 class TestRegistration:
     def test_register_and_translate(self, aspace, table):

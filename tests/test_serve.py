@@ -325,6 +325,35 @@ class TestServeAPI:
         finally:
             server.drain_and_stop(5)
 
+    def test_endpoint_file_appears_complete(self, tmp_path, monkeypatch):
+        """serve.json appears only by an atomic rename of a complete file
+        from the same directory, so a poller never parses it empty."""
+        import repro.serve.server as server_mod
+        real_replace = os.replace
+        renames = []
+
+        def spy(src, dst):
+            if os.path.basename(dst) == "serve.json":
+                with open(src, encoding="utf-8") as f:
+                    renames.append((src, dst, json.load(f)))
+                assert not os.path.exists(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(server_mod.os, "replace", spy)
+        server, _client = _server(tmp_path)
+        try:
+            endpoint = os.path.join(server.config.data_dir, "serve.json")
+            assert [(os.path.dirname(src), dst) for src, dst, _ in renames] \
+                == [(server.config.data_dir, endpoint)]
+            assert renames[0][2]["url"] == server.url
+            with open(endpoint, encoding="utf-8") as f:
+                assert json.load(f) == renames[0][2]
+            assert os.listdir(server.config.data_dir).count("serve.json") == 1
+            assert not [n for n in os.listdir(server.config.data_dir)
+                        if n.endswith(".tmp")]
+        finally:
+            server.drain_and_stop(5)
+
     def test_idempotent_key_and_conflicts(self, tmp_path):
         server, client = _server(tmp_path)
         try:

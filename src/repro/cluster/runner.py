@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .. import proc
+from ..sim import reclaim_world
 from ..tools.inspect import merge_metrics_dumps
 from .partition import lookahead, partition_blueprint
 from .shard import ClusterError, ShardWorker, TrunkMsg
@@ -289,6 +290,11 @@ def _merge_results(spec: ClusterSpec, results: List[dict],
 
 def run_single(spec: ClusterSpec) -> ClusterResult:
     """The oracle: the whole fabric in one kernel, stock run loop."""
+    with reclaim_world():
+        return _run_single(spec)
+
+
+def _run_single(spec: ClusterSpec) -> ClusterResult:
     worker = ShardWorker(spec, 0, 1)
     t0 = time.perf_counter()
     worker.run_to(spec.horizon)
@@ -300,9 +306,10 @@ def run_single(spec: ClusterSpec) -> ClusterResult:
 
 def run_cluster(spec: ClusterSpec, num_workers: int,
                 processes: bool = False) -> ClusterResult:
-    if num_workers == 1 and not processes:
-        return run_single(spec)
-    return ClusterRunner(spec, num_workers, processes=processes).run()
+    with reclaim_world():
+        if num_workers == 1 and not processes:
+            return _run_single(spec)
+        return ClusterRunner(spec, num_workers, processes=processes).run()
 
 
 def assert_equivalent(oracle: ClusterResult, sharded: ClusterResult) -> None:

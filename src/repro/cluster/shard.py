@@ -374,8 +374,6 @@ class ShardWorker:
                     + rec.packet.payload.to_bytes())
                    for rec in tap.records]
             for name, tap in self.taps.items()}
-        for node in self.nodes.values():
-            node.host.memory.release()
         return {
             "shard": self.shard_id,
             "flows": self.results,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import ConfigError
+from ..sim import reclaim_world
 from .group import (COLLECTIVE_FLOW_BASE, CollectiveWorkSpec,
                     allreduce_oracle, rank_vector)
 from .runner import result_digest
@@ -115,6 +116,10 @@ class CollectiveJob:
                 metrics=self.metrics, seed=self.seed, mtu=self.mtu)
 
     def run(self) -> Dict:
+        with reclaim_world():
+            return self._run()
+
+    def _run(self) -> Dict:
         from ..cluster import assert_equivalent, run_cluster, run_single
         checked = False
         if self.check_determinism and self.workers > 1:

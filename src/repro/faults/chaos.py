@@ -11,7 +11,8 @@ must keep **under any wire fault**:
 * every posted WR eventually completes — success or a typed error CQE,
   never silence;
 * the run is deterministic: the same seed and plan give an identical
-  completion trace (:func:`check_determinism`).
+  completion trace (:func:`check_determinism`).  The trace is packed,
+  one fixed-size :data:`CQE_RECORD` per completion.
 
 Kill scenarios (``kill="rst"`` / ``kill="dma"``) murder the transfer
 mid-flight and check the failure semantics instead: the QP lands in
@@ -22,16 +23,17 @@ application survives to count them.
 from __future__ import annotations
 
 import dataclasses
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..bench.configs import build_qpip_pair
 from ..core import QPTransport
 from ..core.qp import QPState
-from ..core.wr import WRStatus
+from ..core.wr import WROpcode, WRStatus
 from ..errors import QPStateError, VerbsError
 from ..net.addresses import Endpoint
-from ..sim import RngHub, Simulator
+from ..sim import RngHub, Simulator, reclaim_world
 from .inject import install_on_link
 from .nicfaults import NicFaultController
 from .plan import FaultPlan
@@ -42,6 +44,22 @@ SEQ_HDR = 8           # big-endian sequence number stamped into each message
 KILL_MODES = ("none", "rst", "dma")
 WORKLOADS = ("ttcp", "pingpong")
 RECOVER_WORKLOADS = ("ttcp", "pingpong", "kvstore")
+
+#: One completion of :attr:`ChaosResult.cqe_trace`, 19 bytes: the time
+#: in µs rounded to 1 ns, the side (``c`` client, ``s`` server), the QP
+#: number, the opcode and status (indexes into their enums) and the
+#: byte length.
+CQE_RECORD = struct.Struct("<dcIBBI")
+_OPCODES = tuple(WROpcode)
+_STATUSES = tuple(WRStatus)
+_OPCODE_CODE = {op: i for i, op in enumerate(_OPCODES)}
+_STATUS_CODE = {st: i for i, st in enumerate(_STATUSES)}
+
+
+def _cqe_record(now: float, side: bytes, cqe) -> bytes:
+    return CQE_RECORD.pack(round(now, 3), side, cqe.qp_num,
+                           _OPCODE_CODE[cqe.opcode],
+                           _STATUS_CODE[cqe.status], cqe.byte_len)
 
 
 def message_bytes(seq: int, size: int) -> bytes:
@@ -77,7 +95,7 @@ class ChaosResult:
     server_completed: int = 0
     error_completions: int = 0
     client_qp_state: str = ""
-    cqe_trace: List[Tuple] = field(default_factory=list)
+    cqe_trace: bytes = b""          # packed CQE_RECORDs, in arrival order
     tcp_stats: Dict[str, int] = field(default_factory=dict)
     fault_counts: Dict[str, int] = field(default_factory=dict)
     recover: bool = False
@@ -143,11 +161,20 @@ class ChaosResult:
     def ok(self) -> bool:
         return not self.violations()
 
+    def completions(self) -> List[Tuple]:
+        """The completion trace decoded, one ``(time_us, side, qp_num,
+        opcode, status, byte_len)`` tuple per completion."""
+        return [(time_us, side.decode(), qp_num, _OPCODES[op].value,
+                 _STATUSES[status].value, byte_len)
+                for time_us, side, qp_num, op, status, byte_len
+                in CQE_RECORD.iter_unpack(self.cqe_trace)]
+
     def trace_key(self) -> Tuple:
-        """The determinism fingerprint: the full completion trace, the
-        client connection's TCP counters, and (in ``--recover`` runs) the
-        recovery trace and counters."""
-        return (tuple(self.cqe_trace), tuple(sorted(self.tcp_stats.items())),
+        """The determinism fingerprint: the packed completion trace, the
+        client's TCP counters (summed over every connection in
+        ``--recover`` runs), and (in ``--recover`` runs) the recovery
+        trace and counters."""
+        return (self.cqe_trace, tuple(sorted(self.tcp_stats.items())),
                 tuple(self.recovery_trace),
                 tuple(sorted((k, v) for k, v in self.recovery.items()
                              if not isinstance(v, dict))))
@@ -250,18 +277,32 @@ def run_chaos(seed: int = 1,
         if kill != "none":
             raise VerbsError("recover mode schedules its own QP restarts; "
                              "combine with a FaultPlan, not with kill=")
-        return _run_chaos_recover(seed=seed, workload=workload,
-                                  plan=plan if plan is not None
-                                  else FaultPlan(),
-                                  messages=messages, msg_size=msg_size,
-                                  restarts=restarts, mtu=mtu,
-                                  deadline=deadline)
+        with reclaim_world():
+            return _run_chaos_recover(seed=seed, workload=workload,
+                                      plan=plan if plan is not None
+                                      else FaultPlan(),
+                                      messages=messages, msg_size=msg_size,
+                                      restarts=restarts, mtu=mtu,
+                                      deadline=deadline)
     if workload not in WORKLOADS:
         raise VerbsError(f"unknown chaos workload {workload!r} "
                          f"(one of {WORKLOADS})")
     if kill not in KILL_MODES:
         raise VerbsError(f"unknown kill mode {kill!r} (one of {KILL_MODES})")
-    plan = plan if plan is not None else FaultPlan()
+    with reclaim_world():
+        return _run_chaos_plain(
+            seed=seed, workload=workload,
+            plan=plan if plan is not None else FaultPlan(),
+            messages=messages, msg_size=msg_size, kill=kill,
+            kill_at=kill_at, queue_depth=queue_depth,
+            recv_buffers=recv_buffers, mtu=mtu, deadline=deadline)
+
+
+def _run_chaos_plain(seed: int, workload: str, plan: FaultPlan,
+                     messages: int, msg_size: int, kill: str, kill_at: float,
+                     queue_depth: int, recv_buffers: int, mtu: int,
+                     deadline: float) -> ChaosResult:
+    """Chaos straight over the verbs, with an optional mid-flight kill."""
     sim = Simulator()
     hub = RngHub(seed)
     node_a, node_b, fabric = build_qpip_pair(sim, mtu=mtu)
@@ -278,13 +319,12 @@ def run_chaos(seed: int = 1,
     if kill == "dma":
         nic_faults.fail_dma(rate=1.0, start=kill_at)
 
-    trace = result.cqe_trace
+    trace = bytearray()
     state: dict = {}
     receiver = _Receiver(result)
 
-    def record(side: str, cqe) -> None:
-        trace.append((round(sim.now, 3), side, cqe.qp_num, cqe.opcode.value,
-                      cqe.status.value, cqe.byte_len))
+    def record(side: bytes, cqe) -> None:
+        trace.extend(_cqe_record(sim.now, side, cqe))
 
     def server():
         iface = node_b.iface
@@ -313,7 +353,7 @@ def run_chaos(seed: int = 1,
             cqes = yield from iface.wait(cq)
             for cqe in cqes:
                 result.server_completed += 1
-                record("s", cqe)
+                record(b"s", cqe)
                 if not cqe.ok:
                     if cqe.status is not WRStatus.FLUSHED:
                         result.error_completions += 1
@@ -386,7 +426,7 @@ def run_chaos(seed: int = 1,
             cqes = yield from iface.wait(cq)
             for cqe in cqes:
                 result.client_completed += 1
-                record("c", cqe)
+                record(b"c", cqe)
                 if not cqe.ok:
                     if cqe.status is not WRStatus.FLUSHED:
                         result.error_completions += 1
@@ -428,6 +468,7 @@ def run_chaos(seed: int = 1,
             raise proc.value
 
     result.elapsed_us = state.get("t_end", sim.now) - state.get("t_start", 0.0)
+    result.cqe_trace = bytes(trace)
     qp = state.get("client_qp")
     result.client_qp_state = qp.state.name if qp is not None else "NONE"
     conn = state.get("client_conn")
@@ -441,8 +482,6 @@ def run_chaos(seed: int = 1,
     counts["checksum_drops"] = (node_a.firmware.stack.checksum_errors
                                 + node_b.firmware.stack.checksum_errors)
     result.fault_counts = counts
-    node_a.host.memory.release()
-    node_b.host.memory.release()
     return result
 
 
@@ -488,6 +527,7 @@ def _run_chaos_recover(seed: int, workload: str, plan: FaultPlan,
             raise proc.value
     finish()
     result.elapsed_us = state.get("t_end", sim.now) - state.get("t_start", 0.0)
+    result.tcp_stats = _summed_tcp_stats(node_a)
     counts: Dict[str, int] = {}
     for injector in injectors:
         for key, value in injector.counts().items():
@@ -496,9 +536,17 @@ def _run_chaos_recover(seed: int, workload: str, plan: FaultPlan,
     counts["checksum_drops"] = (node_a.firmware.stack.checksum_errors
                                 + node_b.firmware.stack.checksum_errors)
     result.fault_counts = counts
-    node_a.host.memory.release()
-    node_b.host.memory.release()
     return result
+
+
+def _summed_tcp_stats(node) -> Dict[str, int]:
+    """``node``'s TCP counters summed over every connection it opened:
+    each reconnect of a recovered session is a new connection."""
+    total: Dict[str, int] = {}
+    for stats in node.firmware.stack.tcp.conn_stats:
+        for key, value in dataclasses.asdict(stats).items():
+            total[key] = total.get(key, 0) + value
+    return total
 
 
 def _recover_stream(sim, hub, node_a, node_b, result, workload, messages,
@@ -522,11 +570,10 @@ def _recover_stream(sim, hub, node_a, node_b, result, workload, messages,
                               max_msg=max(msg_size, 64),
                               heartbeat_interval=10_000.0,
                               name="chaos-cli")
-    trace = result.cqe_trace
+    trace = bytearray()
 
     def record(cqe):
-        trace.append((round(sim.now, 3), "c", cqe.qp_num, cqe.opcode.value,
-                      cqe.status.value, cqe.byte_len))
+        trace.extend(_cqe_record(sim.now, b"c", cqe))
 
     killed_qps = set()
 
@@ -595,6 +642,7 @@ def _recover_stream(sim, hub, node_a, node_b, result, workload, messages,
         rec["server_delivered"] = srv.get("delivered", 0)
         result.recovery = rec
         result.recovery_trace = list(manager.trace)
+        result.cqe_trace = bytes(trace)
         result.client_posted = rep.get("wrs_posted", 0)
         result.client_completed = rep.get("wrs_completed", 0)
         result.client_qp_state = (manager.qp.state.name
@@ -716,6 +764,20 @@ def check_determinism(seed: int = 1, **kwargs) -> Tuple[ChaosResult,
     if first.trace_key() != second.trace_key():
         raise AssertionError(
             f"chaos run is not deterministic for seed {seed}: "
-            f"trace lengths {len(first.cqe_trace)} vs "
-            f"{len(second.cqe_trace)}")
+            f"{_first_difference(first, second)}")
     return first, second
+
+
+def _first_difference(first: ChaosResult, second: ChaosResult) -> str:
+    """Name the first part of two runs' fingerprints that differs."""
+    a, b = first.completions(), second.completions()
+    for i in range(max(len(a), len(b))):
+        ra = a[i] if i < len(a) else None
+        rb = b[i] if i < len(b) else None
+        if ra != rb:
+            return (f"completion {i} of {len(a)} vs {len(b)} differs: "
+                    f"{ra} vs {rb}")
+    if first.tcp_stats != second.tcp_stats:
+        return f"TCP counters {first.tcp_stats} vs {second.tcp_stats}"
+    return (f"recovery trace or counters differ: {first.recovery_trace} "
+            f"{first.recovery} vs {second.recovery_trace} {second.recovery}")

@@ -102,9 +102,6 @@ def run_corpus(scenarios: List[ScenarioSpec], jobs: int = 1,
     Results come back in corpus order regardless of completion order.
     ``progress`` (optional callable) receives each outcome as it lands.
     """
-    # Every scenario child digests its result: load hashlib (libcrypto)
-    # once, before the forks, rather than once per child.
-    import hashlib  # noqa: F401
     jobs = max(1, jobs)
     queue = list(scenarios)
     running: Dict[proc.Worker, ScenarioSpec] = {}

@@ -88,13 +88,6 @@ class PhysicalMemory:
             data += bytes(length - len(data))
         return data
 
-    def release(self) -> None:
-        """Drop every materialized frame; later reads see zeros, as for
-        pages never written.  A finished run calls this once its results
-        are extracted: a simulated world is one reference cycle, so its
-        frames would otherwise stay until the next full collection."""
-        self._frames.clear()
-
 
 class AddressSpace:
     """A process's virtual address space with an on-demand page table."""

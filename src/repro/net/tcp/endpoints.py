@@ -10,7 +10,7 @@ backs ``accept()``.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ...errors import SocketError
 from ...sim import Simulator, Store
@@ -19,7 +19,7 @@ from ..headers.transport import ACK, RST, SYN, TCPHeader
 from ..packet import Payload
 from .connection import TcpConnection
 from .seqspace import seq_add
-from .tcb import TcpConfig, TcpState
+from .tcb import TcpConfig, TcpState, TcpStats
 
 
 class TcpListener:
@@ -93,6 +93,9 @@ class TcpModule:
     def __init__(self, sim: Simulator, isn_seed: int = 0):
         self.sim = sim
         self.connections: Dict[FourTuple, TcpConnection] = {}
+        #: The counters of every connection this module ever opened or
+        #: accepted, closed ones included (``netstat -s`` sums these).
+        self.conn_stats: List[TcpStats] = []
         self._listeners: Dict[Tuple[Optional[IPAddress], int], TcpListener] = {}
         self._isn = itertools.count(isn_seed * 64_000 + 1)
         self._ephemeral = itertools.count(32768)
@@ -114,6 +117,7 @@ class TcpModule:
             raise SocketError(f"connection {four} already exists")
         conn = TcpConnection(self.sim, ctx, four, config, self.next_isn())
         self.connections[four] = conn
+        self.conn_stats.append(conn.stats)
         inner_closed = ctx.on_closed
         inner_reset = ctx.on_reset
 

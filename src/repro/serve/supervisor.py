@@ -93,10 +93,6 @@ class Supervisor:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        # Every attempt digests its result.  Loading hashlib (libcrypto)
-        # once here lets each forked attempt inherit it, where loading it
-        # in the child would cost every attempt ~4 ms of CPU.
-        import hashlib  # noqa: F401
         self._thread = threading.Thread(target=self._loop,
                                         name="serve-supervisor",
                                         daemon=True)

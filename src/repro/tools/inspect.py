@@ -6,6 +6,7 @@ system — purely observational.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Dict, Iterable, List
 
@@ -30,16 +31,28 @@ def canonical_json(value) -> str:
     return json.dumps(_canon(value), sort_keys=True, separators=(",", ":"))
 
 
+@functools.lru_cache(maxsize=None)
+def _sha256():
+    """The interpreter's own SHA-256 (``_sha2`` from 3.12, ``_sha256``
+    before): the digests ``hashlib`` gives, without loading OpenSSL's
+    libcrypto.  ``hashlib`` only if the interpreter was built without it."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def stable_digest(value) -> str:
     """Short content hash of ``value``'s canonical JSON form.
 
     Stable across processes and Python invocations (unlike ``hash``),
-    which is what golden-baseline comparison needs.  ``hashlib`` loads
-    OpenSSL's libcrypto, so it is imported here, on the first call, not
-    by every process that imports the inspectors.
+    which is what golden-baseline comparison needs.
     """
-    import hashlib
-    return hashlib.sha256(canonical_json(value).encode()).hexdigest()[:16]
+    return _sha256()(canonical_json(value).encode()).hexdigest()[:16]
 
 
 def cqe_stream_digest(flows: Dict[int, dict]) -> Dict[str, str]:

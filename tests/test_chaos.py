@@ -7,7 +7,8 @@ import gc
 import pytest
 
 from repro.core.qp import QPState
-from repro.faults import FaultPlan, check_determinism, run_chaos
+from repro.faults import FaultPlan, chaos, check_determinism, run_chaos
+from repro.faults.chaos import CQE_RECORD
 from repro.mem import PhysicalMemory
 
 
@@ -116,19 +117,76 @@ class TestKillSemantics:
         assert result.server_completed == result.server_posted
 
 
-def _memories_holding_frames():
+def _memories():
     return {id(mem) for mem in gc.get_objects()
-            if isinstance(mem, PhysicalMemory) and mem.frames_materialized}
+            if isinstance(mem, PhysicalMemory)}
 
 
 @pytest.mark.parametrize("recover", [False, True])
 def test_a_finished_run_gives_its_simulated_ram_back(recover):
-    """A world is one reference cycle, so it outlives ``run_chaos`` until
-    the next full collection; its 4 KiB frames must not."""
+    """A world is one reference cycle; ``run_chaos`` reclaims it before
+    returning, so its physical memories are gone even with automatic
+    collection off."""
     gc.collect()                    # earlier tests' garbage is gone
-    before = _memories_holding_frames()
-    result = run_chaos(seed=3, plan=lossy_plan(), recover=recover,
-                       messages=32, msg_size=4096)
+    before = _memories()
+    gc.disable()
+    try:
+        result = run_chaos(seed=3, plan=lossy_plan(), recover=recover,
+                           messages=32, msg_size=4096)
+        after = _memories()
+    finally:
+        gc.enable()
     assert result.ok, result.summary()
-    # No collection here: the dead world is still in gc.get_objects().
-    assert _memories_holding_frames() <= before
+    assert after <= before
+
+
+def test_recover_run_reports_tcp_counters_of_every_incarnation():
+    """Each reconnect is a new connection; the counters sum them all."""
+    result = run_chaos(seed=1, plan=lossy_plan(), recover=True,
+                       messages=48, msg_size=1024)
+    assert result.ok, result.summary()
+    assert result.recovery["recoveries"] >= 3
+    stats = result.tcp_stats
+    assert stats["segs_out"] >= 48
+    assert stats["retransmitted_segs"] + stats["rto_timeouts"] > 0
+    assert f"tcp: {stats['segs_out']} segs out" in result.summary()
+
+
+class TestPackedTrace:
+    def test_records_decode_to_the_completions(self):
+        result = run_chaos(seed=7, plan=lossy_plan(), messages=16,
+                           msg_size=4096)
+        records = result.completions()
+        assert len(result.cqe_trace) == len(records) * CQE_RECORD.size
+        assert len(records) == result.client_completed \
+            + result.server_completed
+        time_us, side, qp_num, opcode, status, byte_len = records[0]
+        assert side in ("c", "s") and status == "SUCCESS"
+        assert opcode in ("SEND", "RECV") and byte_len == 4096
+        assert time_us == round(time_us, 3) and qp_num >= 0
+
+    def test_one_differing_field_is_named(self, monkeypatch):
+        """check_determinism names the first differing completion, both
+        decoded, not just the two trace lengths."""
+        runs = []
+
+        def perturbed(**kwargs):
+            result = run_chaos(**kwargs)
+            if runs:                # second run: one byte_len off by one
+                rec = list(CQE_RECORD.unpack_from(result.cqe_trace,
+                                                  5 * CQE_RECORD.size))
+                rec[-1] += 1
+                trace = bytearray(result.cqe_trace)
+                CQE_RECORD.pack_into(trace, 5 * CQE_RECORD.size, *rec)
+                result.cqe_trace = bytes(trace)
+            runs.append(result)
+            return result
+
+        monkeypatch.setattr(chaos, "run_chaos", perturbed)
+        with pytest.raises(AssertionError) as err:
+            check_determinism(seed=7, messages=16, msg_size=4096)
+        first, second = (run.completions()[5] for run in runs)
+        assert first[:-1] == second[:-1] and first[-1] + 1 == second[-1]
+        assert f"completion 5 of {len(runs[0].completions())}" \
+            in str(err.value)
+        assert f"{first} vs {second}" in str(err.value)

@@ -66,18 +66,6 @@ class TestAddressSpace:
         aspace.write(rng.addr, b"x")
         assert phys.frames_materialized == 1
 
-    def test_release_drops_frames_and_reads_zeros(self, phys, aspace):
-        rng = aspace.alloc(3 * PAGE_SIZE)
-        aspace.write(rng.addr + PAGE_SIZE - 2, b"abcd")      # two frames
-        assert phys.frames_materialized == 2
-        phys.release()
-        assert phys.frames_materialized == 0
-        assert aspace.read(rng.addr + PAGE_SIZE - 2, 4) == bytes(4)
-        assert aspace.is_all_zero(rng.addr, rng.length)
-        aspace.write(rng.addr, b"z")                         # still mapped
-        assert phys.frames_materialized == 1
-        assert aspace.read(rng.addr, 2) == b"z\x00"
-
     def test_is_all_zero(self, aspace):
         rng = aspace.alloc(2 * PAGE_SIZE)
         assert aspace.is_all_zero(rng.addr, rng.length)
@@ -121,12 +109,11 @@ class TestAddressSpace:
         st.tuples(st.just("read"), st.integers(0, 4 * PAGE_SIZE),
                   st.integers(0, 2 * PAGE_SIZE)),
         st.tuples(st.just("is_all_zero"), st.integers(0, 4 * PAGE_SIZE),
-                  st.integers(0, 2 * PAGE_SIZE)),
-        st.tuples(st.just("release"), st.just(0), st.just(0))),
+                  st.integers(0, 2 * PAGE_SIZE))),
         max_size=30))
     def test_matches_a_dense_model(self, ops):
-        """Interleaved writes, reads, zero queries and releases agree with
-        one dense ``bytearray`` plus the set of pages written."""
+        """Interleaved writes, reads and zero queries agree with one dense
+        ``bytearray`` plus the set of pages written."""
         size = 4 * PAGE_SIZE
         phys = PhysicalMemory()
         a = AddressSpace(phys)
@@ -141,10 +128,6 @@ class TestAddressSpace:
                 written.update(range(off // PAGE_SIZE,
                                      (off + len(data) - 1) // PAGE_SIZE + 1)
                                if data else ())
-            elif op == "release":
-                phys.release()
-                model = bytearray(size)
-                written.clear()
             else:
                 off = min(off, size - 1)
                 length = min(arg, size - off)

@@ -208,6 +208,15 @@ class TestInspectors:
         report = fabric_report(eth_fabric)
         assert "forwarded" in report
 
+    @pytest.mark.parametrize("value", [
+        None, 0, -7, 1.5, "", "qpip", b"\x00\xff", [1, 2.25, "x"],
+        {"b": (1, b"ab"), "a": {"n": None}}, list(range(1000))])
+    def test_stable_digest_matches_hashlib(self, value):
+        import hashlib
+        from repro.tools.inspect import canonical_json, stable_digest
+        want = hashlib.sha256(canonical_json(value).encode()).hexdigest()
+        assert stable_digest(value) == want[:16]
+
 
 class TestPcapExport:
     def test_pcap_file_structure(self, sim, tmp_path):

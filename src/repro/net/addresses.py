@@ -7,9 +7,8 @@ splice them straight into headers and checksums.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
 from functools import total_ordering
-from typing import Union
+from typing import NamedTuple, Union
 
 from ..errors import ConfigError
 
@@ -20,13 +19,19 @@ class _BytesAddress:
 
     WIDTH = 0
 
-    __slots__ = ("packed",)
+    __slots__ = ("packed", "_hash")
 
     def __init__(self, packed: bytes):
         if len(packed) != self.WIDTH:
             raise ConfigError(
                 f"{type(self).__name__} needs {self.WIDTH} bytes, got {len(packed)}")
-        object.__setattr__(self, "packed", bytes(packed))
+        self.packed = packed = bytes(packed)
+        # Computed once: addresses key every demux and route table.
+        self._hash = hash((type(self).__name__, packed))
+
+    def __reduce__(self):
+        # Rebuild from the bytes, so the hash is the receiving process's.
+        return type(self), (self.packed,)
 
     def __eq__(self, other):
         return type(other) is type(self) and other.packed == self.packed
@@ -37,7 +42,7 @@ class _BytesAddress:
         return self.packed < other.packed
 
     def __hash__(self):
-        return hash((type(self).__name__, self.packed))
+        return self._hash
 
 
 class MacAddress(_BytesAddress):
@@ -99,23 +104,31 @@ class IPv6Address(_BytesAddress):
 IPAddress = Union[IPv4Address, IPv6Address]
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    """(IP address, port) pair."""
+# Identities are named tuples so they hash and compare in C; a tuple's
+# hash is hash((addr, port)) / hash((local, remote)), the value the
+# frozen dataclasses they replace gave, so sets keep their order.
 
+
+class _EndpointFields(NamedTuple):
     addr: IPAddress
     port: int
 
-    def __post_init__(self):
-        if not 0 <= self.port <= 0xFFFF:
-            raise ConfigError(f"port out of range: {self.port}")
+
+class Endpoint(_EndpointFields):
+    """(IP address, port) pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, addr: IPAddress, port: int):
+        if not 0 <= port <= 0xFFFF:
+            raise ConfigError(f"port out of range: {port}")
+        return tuple.__new__(cls, (addr, port))
 
     def __repr__(self):
         return f"{self.addr!r}.{self.port}"
 
 
-@dataclass(frozen=True)
-class FourTuple:
+class FourTuple(NamedTuple):
     """TCP/UDP connection identity (local, remote)."""
 
     local: Endpoint

@@ -4,19 +4,22 @@ Each header is a dataclass that encodes to / decodes from the exact wire
 format.  ``decode`` returns ``(header, bytes_consumed)`` so layered
 parsing can walk a raw buffer.
 
-Headers cache their packed wire bytes (``_wire``): the first
-:meth:`Header.encode` stores the encoding and any field assignment
-invalidates it, so a packet crossing several link/switch/NIC boundaries
-serializes each header once instead of once per hop.  Subclasses
-implement :meth:`_encode_wire`; callers keep using :meth:`encode`.
-All header classes use ``__slots__`` (no per-instance ``__dict__``) —
-they are the hottest allocations in the simulator.
+Headers are values: fields are set at construction (or while a decoder
+fills in options) and not changed after the first :meth:`Header.encode`,
+which caches the packed wire bytes (``_wire``) so a packet crossing
+several link/switch/NIC boundaries serializes each header once instead
+of once per hop.  Nothing invalidates that cache on assignment.  The few
+in-place edits the stack does make keep it right explicitly: the
+checksum fill patches the checksum word (:meth:`Header._store_checksum`),
+``set_ce`` patches the ECN bits, and the ``ecn`` setters drop the cache.
+Subclasses implement :meth:`_encode_wire`; callers keep using
+:meth:`encode`.  All header classes use ``__slots__`` (no per-instance
+``__dict__``) — they are the hottest allocations in the simulator.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
 
 from ...errors import NetworkError
 
@@ -41,24 +44,18 @@ class Header:
         wire = self._wire
         if wire is not None:
             return wire
-        wire = self._encode_wire()
-        object.__setattr__(self, "_wire", wire)
+        wire = self._wire = self._encode_wire()
         return wire
 
-    def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
-        if name[0] != "_":
-            object.__setattr__(self, "_wire", None)
-
-    def _store_checksum_field(self, name: str, value: int, offset: int) -> None:
-        """Set a 16-bit checksum field and patch it into the cached wire
-        bytes instead of invalidating them (the fill-after-encode idiom)."""
-        object.__setattr__(self, name, value)
+    def _store_checksum(self, value: int) -> None:
+        """Set the 16-bit ``checksum`` field and patch it into the cached
+        wire bytes instead of re-encoding (the fill-after-encode idiom)."""
+        self.checksum = value
         wire = self._wire
         if wire is not None:
-            object.__setattr__(
-                self, "_wire",
-                wire[:offset] + value.to_bytes(2, "big") + wire[offset + 2:])
+            offset = self.CSUM_OFFSET
+            self._wire = (wire[:offset] + value.to_bytes(2, "big")
+                          + wire[offset + 2:])
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -29,7 +29,7 @@ ECN_ECT0 = 0b10
 ECN_CE = 0b11
 
 
-@dataclass(eq=False, slots=True, init=False)
+@dataclass(eq=False, slots=True)
 class IPv4Header(Header):
     """IPv4 without options (IHL=5)."""
 
@@ -47,25 +47,6 @@ class IPv4Header(Header):
 
     LEN = 20
 
-    def __init__(self, src: IPv4Address, dst: IPv4Address, protocol: int,
-                 total_length: int = 20, identification: int = 0,
-                 ttl: int = 64, dscp: int = 0, flags_df: bool = True,
-                 flags_mf: bool = False, frag_offset: int = 0):
-        # Hot-path constructor: direct slot writes, no cache invalidation
-        # (a fresh header has no cached wire bytes).
-        s = object.__setattr__
-        s(self, "src", src)
-        s(self, "dst", dst)
-        s(self, "protocol", protocol)
-        s(self, "total_length", total_length)
-        s(self, "identification", identification)
-        s(self, "ttl", ttl)
-        s(self, "dscp", dscp)
-        s(self, "flags_df", flags_df)
-        s(self, "flags_mf", flags_mf)
-        s(self, "frag_offset", frag_offset)
-        s(self, "_wire", None)
-
     @property
     def ecn(self) -> int:
         return self.dscp & 0b11
@@ -73,6 +54,7 @@ class IPv4Header(Header):
     @ecn.setter
     def ecn(self, value: int) -> None:
         self.dscp = (self.dscp & ~0b11) | (value & 0b11)
+        self._wire = None
 
     def set_ce(self) -> None:
         """Mark Congestion Experienced in flight (RFC 3168).
@@ -89,11 +71,9 @@ class IPv4Header(Header):
         new_word = (wire[0] << 8) | new_dscp
         old_csum = (wire[10] << 8) | wire[11]
         new_csum = incremental_update(old_csum, old_word, new_word)
-        object.__setattr__(self, "dscp", new_dscp)
-        object.__setattr__(
-            self, "_wire",
-            wire[:1] + bytes((new_dscp,)) + wire[2:10]
-            + new_csum.to_bytes(2, "big") + wire[12:])
+        self.dscp = new_dscp
+        self._wire = (wire[:1] + bytes((new_dscp,)) + wire[2:10]
+                      + new_csum.to_bytes(2, "big") + wire[12:])
 
     def header_len(self) -> int:
         return self.LEN
@@ -133,7 +113,7 @@ class IPv4Header(Header):
         return hdr, cls.LEN
 
 
-@dataclass(eq=False, slots=True, init=False)
+@dataclass(eq=False, slots=True)
 class IPv6Header(Header):
     """Fixed 40-byte IPv6 header (no extension headers)."""
 
@@ -148,19 +128,6 @@ class IPv6Header(Header):
 
     LEN = 40
 
-    def __init__(self, src: IPv6Address, dst: IPv6Address, next_header: int,
-                 payload_length: int = 0, hop_limit: int = 64,
-                 traffic_class: int = 0, flow_label: int = 0):
-        s = object.__setattr__
-        s(self, "src", src)
-        s(self, "dst", dst)
-        s(self, "next_header", next_header)
-        s(self, "payload_length", payload_length)
-        s(self, "hop_limit", hop_limit)
-        s(self, "traffic_class", traffic_class)
-        s(self, "flow_label", flow_label)
-        s(self, "_wire", None)
-
     @property
     def ecn(self) -> int:
         return self.traffic_class & 0b11
@@ -168,6 +135,7 @@ class IPv6Header(Header):
     @ecn.setter
     def ecn(self, value: int) -> None:
         self.traffic_class = (self.traffic_class & ~0b11) | (value & 0b11)
+        self._wire = None
 
     def set_ce(self) -> None:
         """Mark Congestion Experienced in flight, patching cached bytes
@@ -178,8 +146,8 @@ class IPv6Header(Header):
             self.traffic_class = new_tc
             return
         word0 = (6 << 28) | ((new_tc & 0xFF) << 20) | (self.flow_label & 0xFFFFF)
-        object.__setattr__(self, "traffic_class", new_tc)
-        object.__setattr__(self, "_wire", struct.pack("!I", word0) + wire[4:])
+        self.traffic_class = new_tc
+        self._wire = struct.pack("!I", word0) + wire[4:]
 
     def header_len(self) -> int:
         return self.LEN

@@ -23,7 +23,7 @@ ETHERTYPE_IPV6 = 0x86DD
 _U16_STRUCT = struct.Struct("!H")
 
 
-@dataclass(eq=False, slots=True, init=False)
+@dataclass(eq=False, slots=True)
 class EthernetHeader(Header):
     """Ethernet II: dst(6) src(6) ethertype(2)."""
 
@@ -33,14 +33,6 @@ class EthernetHeader(Header):
     _wire: Optional[bytes] = field(default=None, init=False, repr=False)
 
     LEN = 14
-
-    def __init__(self, dst: MacAddress, src: MacAddress,
-                 ethertype: int = ETHERTYPE_IPV6):
-        s = object.__setattr__
-        s(self, "dst", dst)
-        s(self, "src", src)
-        s(self, "ethertype", ethertype)
-        s(self, "_wire", None)
 
     def header_len(self) -> int:
         return self.LEN
@@ -57,7 +49,7 @@ class EthernetHeader(Header):
         return cls(dst, src, ethertype), cls.LEN
 
 
-@dataclass(eq=False, slots=True, init=False)
+@dataclass(eq=False, slots=True)
 class MyrinetHeader(Header):
     """Myrinet source route: route_len(1), route bytes, type(2).
 
@@ -70,18 +62,13 @@ class MyrinetHeader(Header):
 
     MAX_HOPS = 32
 
-    def __init__(self, route: Optional[List[int]] = None,
-                 ptype: int = ETHERTYPE_IPV6):
-        route = [] if route is None else route
+    def __post_init__(self):
+        route = self.route
         if len(route) > self.MAX_HOPS:
             raise DecodeError(f"route too long: {len(route)} hops")
         for hop in route:
             if not 0 <= hop <= 0xFF:
                 raise DecodeError(f"route byte out of range: {hop}")
-        s = object.__setattr__
-        s(self, "route", route)
-        s(self, "ptype", ptype)
-        s(self, "_wire", None)
 
     def header_len(self) -> int:
         return 1 + len(self.route) + 2

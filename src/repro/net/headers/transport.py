@@ -27,7 +27,7 @@ _U16_STRUCT = struct.Struct("!H")
 # -- UDP --------------------------------------------------------------------
 
 
-@dataclass(eq=False, slots=True, init=False)
+@dataclass(eq=False, slots=True)
 class UDPHeader(Header):
     src_port: int
     dst_port: int
@@ -37,15 +37,6 @@ class UDPHeader(Header):
 
     LEN = 8
     CSUM_OFFSET = 6
-
-    def __init__(self, src_port: int, dst_port: int, length: int = 8,
-                 checksum: int = 0):
-        s = object.__setattr__
-        s(self, "src_port", src_port)
-        s(self, "dst_port", dst_port)
-        s(self, "length", length)
-        s(self, "checksum", checksum)
-        s(self, "_wire", None)
 
     def header_len(self) -> int:
         return self.LEN
@@ -66,14 +57,14 @@ class UDPHeader(Header):
 def udp_fill_checksum(hdr: UDPHeader, pseudo_sum: int, payload: Payload) -> None:
     """Compute and store the UDP checksum (0 transmitted as 0xFFFF)."""
     hdr.checksum = 0
+    hdr._wire = None            # cached bytes may hold a stale checksum
     acc = combine(pseudo_sum, ones_complement_sum(hdr.encode()), payload.csum())
     value = finish(acc)
-    value = value if value != 0 else 0xFFFF
-    hdr._store_checksum_field("checksum", value, UDPHeader.CSUM_OFFSET)
+    hdr._store_checksum(value if value != 0 else 0xFFFF)
 
 
 def udp_verify_checksum(hdr: UDPHeader, pseudo_sum: int, payload: Payload) -> bool:
-    if hdr.checksum == 0:       # checksum disabled (IPv4 only)
+    if hdr.checksum == 0:       # checksum disabled (the caller rejects it on IPv6)
         return True
     # Non-mutating: remove the stored checksum from the running sum by
     # ones-complement subtraction instead of zeroing the field (which
@@ -118,7 +109,7 @@ _SACK_BLOCK_STRUCT = struct.Struct("!II")
 _OPT_SACKOK_BYTES = bytes((OPT_SACK_PERMITTED, 2, OPT_NOP, OPT_NOP))
 
 
-@dataclass(eq=False, slots=True, init=False)
+@dataclass(eq=False, slots=True)
 class TCPHeader(Header):
     src_port: int
     dst_port: int
@@ -141,43 +132,6 @@ class TCPHeader(Header):
     BASE_LEN = 20
     CSUM_OFFSET = 16
 
-    def __init__(self, src_port: int, dst_port: int, seq: int = 0,
-                 ack: int = 0, flags: int = 0, window: int = 0,
-                 checksum: int = 0, urgent: int = 0,
-                 mss: Optional[int] = None, wscale: Optional[int] = None,
-                 sack_permitted: bool = False, ts_val: Optional[int] = None,
-                 ts_ecr: Optional[int] = None,
-                 sack_blocks: Optional[List[Tuple[int, int]]] = None):
-        # Hand-written hot-path constructor: a fresh header has nothing
-        # cached to invalidate, so every field goes straight to its slot
-        # instead of through the invalidating __setattr__.
-        s = object.__setattr__
-        s(self, "src_port", src_port)
-        s(self, "dst_port", dst_port)
-        s(self, "seq", seq)
-        s(self, "ack", ack)
-        s(self, "flags", flags)
-        s(self, "window", window)
-        s(self, "checksum", checksum)
-        s(self, "urgent", urgent)
-        s(self, "mss", mss)
-        s(self, "wscale", wscale)
-        s(self, "sack_permitted", sack_permitted)
-        s(self, "ts_val", ts_val)
-        s(self, "ts_ecr", ts_ecr)
-        s(self, "sack_blocks", [] if sack_blocks is None else sack_blocks)
-        s(self, "_wire", None)
-        s(self, "_opts", None)
-
-    def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
-        if name[0] != "_":
-            object.__setattr__(self, "_wire", None)
-            object.__setattr__(self, "_opts", None)
-
-    def flag(self, mask: int) -> bool:
-        return bool(self.flags & mask)
-
     def flag_str(self) -> str:
         return "".join(ch for mask, ch in _FLAG_NAMES if self.flags & mask) or "."
 
@@ -185,8 +139,7 @@ class TCPHeader(Header):
         opts = self._opts
         if opts is not None:
             return opts
-        opts = self._build_options()
-        object.__setattr__(self, "_opts", opts)
+        opts = self._opts = self._build_options()
         return opts
 
     def _build_options(self) -> bytes:
@@ -289,8 +242,9 @@ class TCPHeader(Header):
 
 def tcp_fill_checksum(hdr: TCPHeader, pseudo_sum: int, payload: Payload) -> None:
     hdr.checksum = 0
+    hdr._wire = None            # cached bytes may hold a stale checksum
     acc = combine(pseudo_sum, ones_complement_sum(hdr.encode()), payload.csum())
-    hdr._store_checksum_field("checksum", finish(acc), TCPHeader.CSUM_OFFSET)
+    hdr._store_checksum(finish(acc))
 
 
 def tcp_verify_checksum(hdr: TCPHeader, pseudo_sum: int, payload: Payload) -> bool:

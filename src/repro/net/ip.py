@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ChecksumError, ConfigError, RouteError
 from .addresses import Endpoint, IPAddress, IPv4Address, IPv6Address, MacAddress
 from .checksum import pseudo_header_v4, pseudo_header_v6
+from .headers.base import Header
 from .headers.ip import IPv4Header, IPv6Header, PROTO_TCP, PROTO_UDP
 from .headers.link import (ETHERTYPE_IPV4, ETHERTYPE_IPV6, EthernetHeader,
                            MyrinetHeader)
@@ -31,6 +32,32 @@ class RouteEntry:
     iface: object                                 # duck-typed NIC port
     next_mac: Optional[MacAddress] = None         # Ethernet next hop
     source_route: List[int] = field(default_factory=list)  # Myrinet ports
+    #: ethertype -> (link header, packet route, link header length), built
+    #: on first use and shared by every packet sent on this route.
+    _framing: Dict[int, Tuple[Header, Optional[List[int]], int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def framing(self, ethertype: int
+                ) -> Optional[Tuple[Header, Optional[List[int]], int]]:
+        """The link framing for ``ethertype``, or None if the route has
+        neither a source route nor a next-hop MAC.  A bad source route
+        raises here, on the first packet."""
+        framing = self._framing.get(ethertype)
+        if framing is None:
+            if self.source_route:
+                route = list(self.source_route)
+                link = MyrinetHeader(route, ethertype)
+            elif self.next_mac is not None:
+                route = None
+                link = EthernetHeader(
+                    self.next_mac,
+                    getattr(self.iface, "mac", MacAddress.from_index(0)),
+                    ethertype)
+            else:
+                return None
+            framing = self._framing[ethertype] = (link, route,
+                                                  link.header_len())
+        return framing
 
 
 @dataclass
@@ -86,16 +113,15 @@ class IpModule:
                 raise ConfigError("mixed IP versions")
             psum = pseudo_header_v6(src_ip.packed, dst_ip.packed, upper_len, proto)
             ip_hdr = IPv6Header(src_ip, dst_ip, next_header=proto,
-                                payload_length=upper_len, hop_limit=hop_limit)
-            ip_hdr.ecn = ecn
+                                payload_length=upper_len, hop_limit=hop_limit,
+                                traffic_class=ecn & 0b11)
             ethertype = ETHERTYPE_IPV6
         else:
             psum = pseudo_header_v4(src_ip.packed, dst_ip.packed, upper_len, proto)
             ip_hdr = IPv4Header(src_ip, dst_ip, protocol=proto,
                                 total_length=20 + upper_len,
                                 identification=next(self._ident) & 0xFFFF,
-                                ttl=hop_limit)
-            ip_hdr.ecn = ecn
+                                ttl=hop_limit, dscp=ecn & 0b11)
             ethertype = ETHERTYPE_IPV4
 
         if proto == PROTO_TCP:
@@ -103,22 +129,19 @@ class IpModule:
         else:
             udp_fill_checksum(transport, psum, payload)
 
-        pkt = Packet([ip_hdr, transport], payload)
-        if entry.source_route:
-            pkt.push(MyrinetHeader(route=list(entry.source_route),
-                                   ptype=ethertype))
-            pkt.route = list(entry.source_route)
-        elif entry.next_mac is not None:
-            src_mac = getattr(entry.iface, "mac", MacAddress.from_index(0))
-            pkt.push(EthernetHeader(entry.next_mac, src_mac, ethertype))
-        else:
+        framing = entry.framing(ethertype)
+        if framing is None:
             raise ConfigError(f"{self.name}: route to {dst_ip!r} has no framing")
-
+        link, route, link_len = framing
+        ip_len = ip_hdr.LEN + upper_len
         mtu = getattr(entry.iface, "mtu", None)
-        if mtu is not None and pkt.wire_size - pkt.headers[0].header_len() > mtu:
+        if mtu is not None and ip_len > mtu:
             raise ConfigError(
-                f"{self.name}: {pkt.wire_size}B packet exceeds MTU {mtu} "
+                f"{self.name}: {link_len + ip_len}B packet exceeds MTU {mtu} "
                 "(end-to-end fragmentation is out of scope, as in the paper)")
+        pkt = Packet([link, ip_hdr, transport], payload)
+        pkt.route = route
+        pkt._wire_size = link_len + ip_len
         self.sent += 1
         return pkt
 
@@ -153,6 +176,7 @@ class IpModule:
             upper_len = ip6.payload_length
             ce = ip6.ecn == 0b11
             psum = pseudo_header_v6(src_ip.packed, dst_ip.packed, upper_len, proto)
+            udp_zero_csum_ok = False     # RFC 8200 §8.1: IPv6 UDP must sum
         elif isinstance(top, IPv4Header):
             ip4 = pkt.pop()
             if ip4.dst not in self.local_addrs:
@@ -163,6 +187,7 @@ class IpModule:
             upper_len = ip4.total_length - 20
             ce = ip4.ecn == 0b11
             psum = pseudo_header_v4(src_ip.packed, dst_ip.packed, upper_len, proto)
+            udp_zero_csum_ok = True      # RFC 768: zero means "no checksum"
         else:
             self.dropped_bad += 1
             return None
@@ -172,7 +197,9 @@ class IpModule:
         if proto == PROTO_TCP and isinstance(transport, TCPHeader):
             ok = (not verify_checksum) or tcp_verify_checksum(transport, psum, payload)
         elif proto == PROTO_UDP and isinstance(transport, UDPHeader):
-            ok = (not verify_checksum) or udp_verify_checksum(transport, psum, payload)
+            ok = (not verify_checksum) or (
+                (transport.checksum != 0 or udp_zero_csum_ok)
+                and udp_verify_checksum(transport, psum, payload))
         else:
             self.dropped_bad += 1
             return None

@@ -201,7 +201,9 @@ class Packet:
                  payload: Payload = EMPTY):
         self.headers: list = headers if headers is not None else []
         self.payload = payload
-        self.route: Optional[list] = None       # Myrinet source route (port list)
+        # Myrinet source route (port list), shared by every packet on the
+        # route and only read, at ``route_cursor``.
+        self.route: Optional[list] = None
         self.route_cursor: int = 0
         self.born_at: Optional[float] = None
         self.corrupted: bool = False
@@ -251,7 +253,7 @@ class Packet:
     def copy_shallow(self) -> "Packet":
         """A distinct Packet sharing headers/payload (for retransmit clones)."""
         p = Packet(list(self.headers), self.payload)
-        p.route = list(self.route) if self.route is not None else None
+        p.route = self.route
         p.route_cursor = self.route_cursor
         p.corrupted = self.corrupted
         return p

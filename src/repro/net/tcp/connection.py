@@ -504,14 +504,13 @@ class TcpConnection:
                              flags=RST | ACK), payload
 
         # Accumulate every field in locals and construct the header once
-        # at the end: assignments after construction each run the cache-
-        # invalidating __setattr__.
+        # at the end: a header is a value once built (headers.base).
         mss: Optional[int] = None
         wscale: Optional[int] = None
         sack_permitted = False
         ts_val: Optional[int] = None
         ts_ecr: Optional[int] = None
-        sack_blocks: Optional[List[Tuple[int, int]]] = None
+        sack_blocks: List[Tuple[int, int]] = []
 
         if desc.kind == "probe":
             # Classic persist probe: one garbage byte the receiver already
@@ -713,12 +712,13 @@ class TcpConnection:
         self.stats.segs_in += 1
         self._last_activity = self.sim.now
         self._keepalive_failures = 0
+        flags = hdr.flags
         if self.config.keepalive_idle is not None \
                 and self.state in SYNCHRONIZED_STATES:
             self._keepalive_timer.start(self.config.keepalive_idle)
         if ce and self.ecn_ok and payload.length:
             self._ecn_echo = True        # echo ECE until the sender CWRs
-        if self.ecn_ok and hdr.flag(CWR):
+        if self.ecn_ok and flags & CWR:
             self._ecn_echo = False
         if self.state is TcpState.CLOSED:
             return
@@ -726,24 +726,35 @@ class TcpConnection:
             self._handle_syn_sent(hdr, payload)
             return
 
-        seg_len = payload.length + (1 if hdr.flag(SYN) else 0) \
-            + (1 if hdr.flag(FIN) else 0)
-
-        if not self._segment_acceptable(hdr.seq, seg_len):
+        # Header prediction (the fast path of [32] §28; the firmware's
+        # cost model keys off the same data/ack distinction): an in-order
+        # ACK-bearing segment with no SYN/FIN/RST/URG on an established
+        # connection.  For it the RFC 793 acceptability test reduces to
+        # "empty, or the window is open" and the RST/SYN/ACK checks pass.
+        predicted = (self.state is TcpState.ESTABLISHED
+                     and (flags & (SYN | FIN | RST | URG | ACK)) == ACK
+                     and hdr.seq == self.rcv_nxt)
+        if predicted:
+            acceptable = not payload.length or self._advertisable_window() > 0
+        else:
+            seg_len = payload.length + (1 if flags & SYN else 0) \
+                + (1 if flags & FIN else 0)
+            acceptable = self._segment_acceptable(hdr.seq, seg_len)
+        if not acceptable:
             if payload.length and seq_le(seq_add(hdr.seq, payload.length),
                                          self.rcv_nxt):
                 self.stats.duplicate_data_segs += 1
-            if not hdr.flag(RST):
+            if not flags & RST:
                 self._request_ack(immediate=True)
             return
 
-        if hdr.flag(RST):
+        if flags & RST:
             exc = ConnectionReset(f"{self.tuple}: connection reset by peer")
             self._teardown(notify_closed=False)
             self.ctx.on_reset(self, exc)
             return
 
-        if hdr.flag(SYN) and self.state is not TcpState.SYN_RCVD:
+        if flags & SYN and self.state is not TcpState.SYN_RCVD:
             # SYN in window in a synchronized state: blow up (RFC 793).
             self.output_queue.append(SegDescriptor("rst"))
             self.ctx.output_ready(self)
@@ -752,14 +763,10 @@ class TcpConnection:
             self.ctx.on_reset(self, exc)
             return
 
-        if not hdr.flag(ACK):
+        if not flags & ACK:
             return
 
-        # Header-prediction accounting (the fast path of [32] §28; the
-        # firmware's cost model keys off the same data/ack distinction).
-        if (self.state is TcpState.ESTABLISHED
-                and not hdr.flags & (SYN | FIN | RST | URG)
-                and hdr.seq == self.rcv_nxt):
+        if predicted:
             if payload.length:
                 self.stats.fastpath_data += 1
             elif seq_ge(hdr.ack, self.snd_una):
@@ -793,7 +800,7 @@ class TcpConnection:
             self.stats.duplicate_data_segs += 1
             self._request_ack(immediate=True)
 
-        if hdr.flag(FIN):
+        if flags & FIN:
             self._process_fin(hdr, payload)
 
         self._try_send()
@@ -801,23 +808,23 @@ class TcpConnection:
     # -- SYN_SENT ---------------------------------------------------------
 
     def _handle_syn_sent(self, hdr: TCPHeader, payload: Payload) -> None:
-        if hdr.flag(ACK) and not seq_between(
+        if hdr.flags & ACK and not seq_between(
                 self.snd_una, seq_add(hdr.ack, -1 & 0xFFFFFFFF), self.snd_nxt):
             return  # unacceptable ACK
-        if hdr.flag(RST):
-            if hdr.flag(ACK):
+        if hdr.flags & RST:
+            if hdr.flags & ACK:
                 from ...errors import ConnectionRefused
                 exc = ConnectionRefused(f"{self.tuple}: connection refused")
                 self._teardown(notify_closed=False)
                 self.ctx.on_reset(self, exc)
             return
-        if not hdr.flag(SYN):
+        if not hdr.flags & SYN:
             return
         self._record_peer_options(hdr, passive=False)
         self.irs = hdr.seq
         self.rcv_nxt = seq_add(hdr.seq, 1)
         self.ts_recent = hdr.ts_val or 0
-        if hdr.flag(ACK):
+        if hdr.flags & ACK:
             self._ack_advance(hdr.ack)
             self.state = TcpState.ESTABLISHED
             self._update_send_window(hdr, force=True)
@@ -834,9 +841,9 @@ class TcpConnection:
     def _record_peer_options(self, syn: TCPHeader, passive: bool) -> None:
         self.peer_mss = syn.mss if syn.mss is not None else 536
         if self.config.ecn:
-            if passive and syn.flag(ECE) and syn.flag(CWR):
+            if passive and syn.flags & ECE and syn.flags & CWR:
                 self.ecn_ok = True       # client offered ECN; we accept
-            elif not passive and syn.flag(ECE) and not syn.flag(CWR):
+            elif not passive and syn.flags & ECE and not syn.flags & CWR:
                 self.ecn_ok = True       # SYN|ACK accepted our offer
         self.cc.mss = min(self.cc.mss, self.peer_mss)
         if self.config.use_window_scaling and syn.wscale is not None:
@@ -893,7 +900,7 @@ class TcpConnection:
                 self._try_send()  # inflated window may allow new data
             return
 
-        if hdr.flag(ECE) and self.ecn_ok and self._retx:
+        if hdr.flags & ECE and self.ecn_ok and self._retx:
             # React once per window: only an ECE acking data sent *after*
             # the previous reaction (which carried CWR) counts as fresh
             # congestion (RFC 3168 §6.1.2).
@@ -1010,20 +1017,20 @@ class TcpConnection:
         if seg_seq != self.rcv_nxt:
             self.stats.ooo_segments += 1
             if self.config.reassembly:
-                self._reasm_insert(seg_seq, data, hdr.flag(FIN))
+                self._reasm_insert(seg_seq, data, bool(hdr.flags & FIN))
                 self.stats.ooo_queued += 1
             else:
                 self.stats.ooo_dropped += 1
             self._request_ack(immediate=True)  # dup ACK -> fast retransmit
             return
 
-        self._accept_data(data, hdr.flag(PSH))
+        self._accept_data(data, bool(hdr.flags & PSH))
         fin_seen = self._reasm_drain()
         if fin_seen:
             # FIN was queued out of order and is now in sequence.
             self._fin_advance()
             return
-        self._request_ack(immediate=hdr.flag(FIN))
+        self._request_ack(immediate=bool(hdr.flags & FIN))
 
     def _accept_data(self, data: Payload, psh: bool) -> None:
         self.rcv_nxt = seq_add(self.rcv_nxt, data.length)

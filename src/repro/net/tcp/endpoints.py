@@ -163,7 +163,7 @@ class TcpModule:
         if conn is not None and conn.state is not TcpState.CLOSED:
             conn.handle_segment(hdr, payload, ce=ce)
             return conn
-        if hdr.flag(SYN) and not hdr.flag(ACK):
+        if hdr.flags & SYN and not hdr.flags & ACK:
             listener = self.lookup_listener(dst)
             if listener is not None:
                 return listener.on_syn(hdr, src)
@@ -172,10 +172,10 @@ class TcpModule:
 
     def _reply_rst(self, src: Endpoint, dst: Endpoint, hdr: TCPHeader,
                    payload: Payload) -> None:
-        if hdr.flag(RST) or self.send_rst is None:
+        if hdr.flags & RST or self.send_rst is None:
             return
-        seg_len = payload.length + (1 if hdr.flag(SYN) else 0)
-        if hdr.flag(ACK):
+        seg_len = payload.length + (1 if hdr.flags & SYN else 0)
+        if hdr.flags & ACK:
             rst = TCPHeader(dst.port, src.port, seq=hdr.ack, flags=RST)
         else:
             rst = TCPHeader(dst.port, src.port, seq=0,

@@ -92,8 +92,8 @@ class PipeCtx:
     def _rx(self, hdr: TCPHeader, payload: Payload) -> None:
         self.received.append((self.sim.now, hdr, payload.length))
         from repro.net.tcp.tcb import TcpState
-        if (self.conn.state is TcpState.CLOSED and hdr.flag(SYN)
-                and not hdr.flag(ACK)):
+        if (self.conn.state is TcpState.CLOSED and hdr.flags & SYN
+                and not hdr.flags & ACK):
             self.conn.passive_open(hdr)
         else:
             self.conn.handle_segment(hdr, payload)

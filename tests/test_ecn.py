@@ -40,9 +40,9 @@ class TestEcnNegotiation:
         assert cctx.conn.ecn_ok and sctx.conn.ecn_ok
         # ECN-setup SYN carried ECE|CWR; SYN|ACK carried ECE only.
         syn = cctx.sent[0][1]
-        assert syn.flag(ECE) and syn.flag(CWR)
+        assert syn.flags & ECE and syn.flags & CWR
         synack = sctx.sent[0][1]
-        assert synack.flag(ECE) and not synack.flag(CWR)
+        assert synack.flags & ECE and not synack.flags & CWR
 
     def test_one_side_without_ecn_disables_it(self, sim):
         cctx, sctx = make_pair(sim, ecn_cfg(), TcpConfig(mss=1000))
@@ -89,7 +89,7 @@ class TestEcnResponse:
         assert sctx.conn._ecn_echo
         cctx.conn.send_stream(ZeroPayload(5000))
         sim.run(until=sim.now + 2_000_000)
-        cwr_segs = [h for _, h, l in cctx.sent if h.flag(CWR) and l > 0]
+        cwr_segs = [h for _, h, l in cctx.sent if h.flags & CWR and l > 0]
         assert len(cwr_segs) >= 1
         assert not sctx.conn._ecn_echo
         assert len(sctx.delivered_bytes) == 28_000

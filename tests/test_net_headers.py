@@ -1,5 +1,7 @@
 """Tests for addresses, checksums, payloads, and header codecs."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,14 +88,72 @@ class TestAddresses:
         assert IPv4Address.from_index(1) < IPv4Address.from_index(2)
 
     def test_endpoint_port_range(self):
-        with pytest.raises(ConfigError):
-            Endpoint(IPv6Address.from_index(1), 70000)
+        for port in (70000, 0x10000, -1):
+            with pytest.raises(ConfigError):
+                Endpoint(IPv6Address.from_index(1), port)
+        assert Endpoint(IPv6Address.from_index(1), 0xFFFF).port == 0xFFFF
 
     def test_four_tuple_reverse(self):
         ft = FourTuple(Endpoint(IPv6Address.from_index(1), 10),
                        Endpoint(IPv6Address.from_index(2), 20))
         assert ft.reversed().reversed() == ft
         assert ft.reversed().local.port == 20
+
+
+class TestIdentityHashes:
+    """Identities hash to the values the frozen dataclasses and the
+    per-call address hash gave, so every dict and set of them keeps its
+    iteration order."""
+
+    def test_address_hash_formula(self):
+        for addr in (IPv6Address.from_index(5), IPv4Address.from_index(5),
+                     MacAddress.from_index(5)):
+            assert hash(addr) == hash((type(addr).__name__, addr.packed))
+
+    def test_endpoint_and_four_tuple_hash_as_their_fields(self):
+        a, b = IPv6Address.from_index(1), IPv4Address.from_index(2)
+        local, remote = Endpoint(a, 80), Endpoint(b, 9000)
+        assert hash(local) == hash((a, 80))
+        assert hash(FourTuple(local, remote)) == hash((local, remote))
+        assert hash(FourTuple(local, remote)) == hash(((a, 80), (b, 9000)))
+
+    def test_set_order_matches_the_field_tuples(self):
+        remote = Endpoint(IPv6Address.from_index(99), 7000)
+        keys = [FourTuple(Endpoint(IPv6Address.from_index(i), 1000 + i),
+                          remote) for i in range(64)]
+        plain = [((k.local.addr, k.local.port), (remote.addr, remote.port))
+                 for k in keys]
+        assert [((k.local.addr, k.local.port), (k.remote.addr, k.remote.port))
+                for k in set(keys)] == list(set(plain))
+
+    def test_pickle_round_trip(self):
+        import pickle
+        ft = FourTuple(Endpoint(IPv6Address.from_index(1), 10),
+                       Endpoint(IPv4Address.from_index(2), 20))
+        back = pickle.loads(pickle.dumps(ft))
+        assert back == ft and hash(back) == hash(ft)
+        assert type(back) is FourTuple and type(back.local) is Endpoint
+        assert type(back.remote.addr) is IPv4Address
+
+    def test_unpickled_address_hashes_in_the_receiving_process(self):
+        # Trunk messages cross pipes between processes; a stored hash
+        # must be recomputed there, not carried from a process whose
+        # string hashes are salted differently.
+        import os
+        import pickle
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import pickle, sys; from repro.net.addresses import "
+                "Endpoint, IPv6Address; sys.stdout.buffer.write(pickle.dumps("
+                "Endpoint(IPv6Address.from_index(3), 4)))")
+        raw = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345"),
+        ).stdout
+        ep = pickle.loads(raw)
+        assert hash(ep.addr) == hash(("IPv6Address", ep.addr.packed))
+        assert ep in {Endpoint(IPv6Address.from_index(3), 4)}
 
 
 class TestPayloads:
@@ -329,8 +389,49 @@ class TestTransportHeaders:
         h = TCPHeader(5, 6, seq=77, flags=ACK)
         ps = pseudo_header_v6(src.packed, dst.packed, h.header_len(), 6)
         tcp_fill_checksum(h, ps, ZeroPayload(0))
-        h.seq = 78
-        assert not tcp_verify_checksum(h, ps, ZeroPayload(0))
+        # Headers are values: the altered header is a new one carrying the
+        # old checksum, as a corrupted header on the wire would.
+        altered = dataclasses.replace(h, seq=78)
+        assert altered.checksum == h.checksum
+        assert not tcp_verify_checksum(altered, ps, ZeroPayload(0))
+
+    @pytest.mark.parametrize("make, fill, verify", [
+        (lambda: TCPHeader(5, 6, seq=77, flags=ACK, ts_val=9, ts_ecr=3),
+         tcp_fill_checksum, tcp_verify_checksum),
+        (lambda: UDPHeader(5, 6, length=8 + 6), udp_fill_checksum,
+         udp_verify_checksum),
+    ])
+    def test_checksum_fill_over_a_stale_checksum(self, make, fill, verify):
+        from reference_paths import encode_ref
+        src = IPv6Address.from_index(1)
+        dst = IPv6Address.from_index(2)
+        payload = BytesPayload(b"abcdef")
+        fresh = make()
+        ps = pseudo_header_v6(src.packed, dst.packed,
+                              fresh.header_len() + payload.length, 17)
+        fill(fresh, ps, payload)
+        stale = make()
+        stale.checksum = 0x1234
+        stale.encode()                         # cache holds the stale value
+        fill(stale, ps, payload)
+        assert stale.checksum == fresh.checksum
+        assert stale.encode() == encode_ref(stale) == fresh.encode()
+        assert verify(stale, ps, payload)
+
+    @pytest.mark.parametrize("v6", [True, False])
+    def test_ecn_setter_drops_cached_bytes(self, v6):
+        from reference_paths import encode_ref
+        if v6:
+            h = IPv6Header(IPv6Address.from_index(1), IPv6Address.from_index(2),
+                           next_header=6, payload_length=20)
+        else:
+            h = IPv4Header(IPv4Address.from_index(1), IPv4Address.from_index(2),
+                           protocol=6, total_length=40)
+        before = h.encode()
+        h.ecn = 0b10
+        assert h.ecn == 0b10
+        assert h.encode() != before
+        assert h.encode() == encode_ref(h)
 
     def test_flag_str(self):
         assert TCPHeader(1, 2, flags=SYN | ACK).flag_str() == "SA"

@@ -1,5 +1,8 @@
 """Unit tests for the IP layer, InetStack glue, and payload composites."""
 
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +11,13 @@ from repro.errors import ConfigError, RouteError
 from repro.net import InetStack, IpModule, RouteEntry
 from repro.net.addresses import Endpoint, IPv4Address, IPv6Address, MacAddress
 from repro.net.checksum import ones_complement_sum
+from repro.net.headers.base import DecodeError
 from repro.net.headers.ip import IPv4Header, IPv6Header
 from repro.net.headers.link import EthernetHeader, MyrinetHeader
 from repro.net.headers.transport import SYN, TCPHeader, UDPHeader
 from repro.net.packet import (BytesPayload, ChainPayload, Packet, ZeroPayload,
                               concat)
+from repro.net.wire import serialize
 from repro.sim import Simulator
 
 
@@ -136,6 +141,86 @@ class TestIpModule:
         seg = back.parse(pkt)
         assert seg.proto == 17 and seg.checksum_ok
 
+    @pytest.mark.parametrize("v6", [True, False])
+    def test_udp_zero_checksum_rejected_only_over_ipv6(self, v6):
+        # RFC 768 lets IPv4 send 0 for "no checksum"; RFC 8200 §8.1 has
+        # IPv6 receivers discard such datagrams.
+        ip, src, dst, iface = self._module(v6=v6)
+        back = IpModule()
+        back.add_local(dst)
+        pkt = ip.build(src, dst, UDPHeader(5, 6, length=8 + 4),
+                       BytesPayload(b"dgrm"))
+        pkt.headers[-1] = dataclasses.replace(pkt.headers[-1], checksum=0)
+        seg = back.parse(pkt)
+        assert seg is not None and seg.checksum_ok is (not v6)
+        assert back.dropped_bad == (1 if v6 else 0)
+
+
+class TestRouteFraming:
+    """Each route builds its link framing once and shares it."""
+
+    @staticmethod
+    def _pair(v6, myrinet):
+        ip = IpModule(name="t.ip")
+        src = IPv6Address.from_index(1) if v6 else IPv4Address.from_index(1)
+        dst = IPv6Address.from_index(2) if v6 else IPv4Address.from_index(2)
+        iface = FakeIface()
+        entry = (RouteEntry(iface=iface, source_route=[3, 0, 7]) if myrinet
+                 else RouteEntry(iface=iface, next_mac=MacAddress.from_index(4)))
+        ip.add_route(dst, entry)
+        return ip, src, dst, iface
+
+    @pytest.mark.parametrize("myrinet", [True, False])
+    @pytest.mark.parametrize("v6", [True, False])
+    def test_packets_serialize_to_reference_bytes(self, v6, myrinet):
+        from reference_paths import encode_ref
+        ip, src, dst, _ = self._pair(v6, myrinet)
+        pkts = [ip.build(src, dst, TCPHeader(1, 2, seq=n, flags=SYN | 0x10,
+                                             ts_val=n, ts_ecr=1),
+                         BytesPayload(bytes(range(n))), ecn=0b10 * (n % 2))
+                for n in (0, 5, 9)]
+        pkts.append(ip.build(src, dst, UDPHeader(5, 6, length=8 + 3),
+                             BytesPayload(b"xyz")))
+        link = pkts[0].headers[0]
+        assert isinstance(link, MyrinetHeader if myrinet else EthernetHeader)
+        for pkt in pkts:
+            assert pkt.headers[0] is link      # one framing per route
+            raw = serialize(pkt)
+            assert raw == b"".join(encode_ref(h) for h in pkt.headers) \
+                + pkt.payload.to_bytes()
+            assert pkt.wire_size == len(raw) == sum(
+                h.header_len() for h in pkt.headers) + pkt.payload.length
+            assert pkt.route == ([3, 0, 7] if myrinet else None)
+        assert pkts[1].find(IPv6Header if v6 else IPv4Header).ecn == 0b10
+
+    @pytest.mark.parametrize("route", [[0] * 33, [1, 256]])
+    def test_bad_source_route_raises_on_first_build(self, route):
+        ip = IpModule()
+        dst = IPv6Address.from_index(2)
+        ip.add_route(dst, RouteEntry(iface=FakeIface(), source_route=route))
+        with pytest.raises(DecodeError):
+            ip.build(IPv6Address.from_index(1), dst, TCPHeader(1, 2),
+                     ZeroPayload(0))
+
+    def test_readded_route_uses_its_new_framing(self):
+        ip, src, dst, iface = self._pair(True, True)
+        first = ip.build(src, dst, TCPHeader(1, 2), ZeroPayload(0))
+        ip.add_route(dst, RouteEntry(iface=iface, source_route=[5, 1]))
+        second = ip.build(src, dst, TCPHeader(1, 2), ZeroPayload(0))
+        assert first.route == [3, 0, 7] and first.headers[0].route == [3, 0, 7]
+        assert second.route == [5, 1] and second.headers[0].route == [5, 1]
+
+    def test_mtu_read_per_packet_with_the_same_message(self):
+        ip, src, dst, iface = self._pair(True, True)
+        ip.build(src, dst, TCPHeader(1, 2), ZeroPayload(4000))  # fits 9000
+        iface.mtu = 1500
+        # 6 link + 40 IPv6 + 20 TCP + 4000 payload bytes.
+        with pytest.raises(ConfigError, match=re.escape(
+                "t.ip: 4066B packet exceeds MTU 1500 (end-to-end "
+                "fragmentation is out of scope, as in the paper)")):
+            ip.build(src, dst, TCPHeader(1, 2), ZeroPayload(4000))
+        ip.build(src, dst, TCPHeader(1, 2), ZeroPayload(1500 - 60))
+
 
 class TestInetStack:
     def test_rst_reply_for_unknown_port(self, sim):
@@ -153,7 +238,7 @@ class TestInetStack:
         assert b.tcp.rst_sent == 1
         assert len(ib.sent) == 1
         rst = ib.sent[0].find(TCPHeader)
-        assert rst.flag(0x04)                      # RST
+        assert rst.flags & 0x04                      # RST
         assert rst.ack == 6                        # SYN occupies one seq
 
     def test_on_segment_hook_observes_traffic(self, sim):

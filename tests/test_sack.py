@@ -65,7 +65,7 @@ class TestSackRecovery:
         state = {"count": 0}
 
         def flt(hdr, payload):
-            if payload.length > 0 and not hdr.flag(0x02):
+            if payload.length > 0 and not hdr.flags & 0x02:
                 state["count"] += 1
                 return state["count"] == n
             return False

@@ -61,7 +61,7 @@ class TestHandshake:
     def test_syn_retransmitted_on_loss(self, sim):
         cctx, sctx = make_pair(sim)
         drops = []
-        cctx.loss_filter = lambda hdr, p: (hdr.flag(SYN)
+        cctx.loss_filter = lambda hdr, p: (hdr.flags & SYN
                                            and not drops.append(1)
                                            and len(drops) <= 1)
         cctx.conn.connect()

@@ -95,7 +95,7 @@ class TestCloseEdges:
         state = {"dropped": False}
 
         def drop_first_fin(hdr, payload):
-            if hdr.flag(FIN) and not state["dropped"]:
+            if hdr.flags & FIN and not state["dropped"]:
                 state["dropped"] = True
                 return True
             return False
